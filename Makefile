@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: verify build vet fmt-check test race bench bench-json bench-check bench-step bench-ckpt bench-serve bench-queen bench-stream chaos-check obs-check replay-check serve-check stream-check queen-check vulncheck
+.PHONY: verify build vet fmt-check test race bench bench-json bench-check bench-step bench-ckpt bench-serve bench-queen bench-stream chaos-check obs-check replay-check serve-check stream-check queen-check perfbench-check vulncheck
 
-verify: build vet fmt-check race bench-check chaos-check obs-check replay-check serve-check stream-check queen-check vulncheck
+verify: build vet fmt-check race bench-check chaos-check obs-check replay-check serve-check stream-check queen-check perfbench-check vulncheck
 
 build:
 	$(GO) build ./...
@@ -134,6 +134,14 @@ bench-queen:
 # BENCH_serve.json (the serve table in EXPERIMENTS.md).
 bench-serve:
 	$(GO) run ./cmd/waggle-load -out BENCH_serve.json
+
+# The repo benchmark (perfbench/, run by `bash perfbench/run.sh`) is
+# its own module, so `./...` above never reaches it: vet it and run its
+# stats, trace and metric-table tests here (-short skips the
+# seconds-long smoke run of every workload).
+perfbench-check:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test -short .
 
 # Known-vulnerability scan, skipped gracefully when govulncheck is not
 # installed or its database is unreachable (offline CI).

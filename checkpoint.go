@@ -2,6 +2,8 @@ package waggle
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -233,6 +235,12 @@ func (s *Swarm) finishRestore(ck *Checkpoint, radio *Radio, m *BackupMessenger) 
 	if err := replayInputs(s, radio, m, ck.Inputs); err != nil {
 		return err
 	}
+	return s.verifyRestore(ck)
+}
+
+// verifyRestore is finishRestore after the replay: re-capture, compare
+// with the stored snapshot, seat the log.
+func (s *Swarm) verifyRestore(ck *Checkpoint) error {
 	got, err := s.captureState()
 	if err != nil {
 		return err
@@ -485,15 +493,28 @@ func (s *Swarm) faultState() *ckpt.FaultState {
 }
 
 // traceDigest hashes the movement trace CSV ("" when tracing is off).
+// The trace is append-only, so the hash runs incrementally: each call
+// feeds only the instants recorded since the previous one into the
+// running SHA-256, and the result equals ckpt.Digest of a full
+// WriteTraceCSV. Nothing is hashed on the step path — only here, on
+// request.
 func (s *Swarm) traceDigest() (string, error) {
 	if !s.opts.trace {
 		return "", nil
 	}
-	var buf bytes.Buffer
-	if err := s.WriteTraceCSV(&buf); err != nil {
+	tr := s.net.World().Trace()
+	if tr == nil {
+		return "", errors.New("waggle: checkpoint trace digest: tracing disabled")
+	}
+	if s.traceHash == nil {
+		s.traceHash = sha256.New()
+	}
+	next, err := tr.WriteCSVFrom(s.traceHash, s.traceNext)
+	if err != nil {
 		return "", fmt.Errorf("waggle: checkpoint trace digest: %w", err)
 	}
-	return ckpt.Digest(buf.Bytes()), nil
+	s.traceNext = next
+	return hex.EncodeToString(s.traceHash.Sum(nil)), nil
 }
 
 // obsDigest hashes the deterministic observability snapshot ("" when no

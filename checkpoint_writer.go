@@ -54,13 +54,18 @@ func ParseCheckpointCodec(name string) (CheckpointCodec, error) {
 	return 0, fmt.Errorf("waggle: unknown checkpoint codec %q (want json, binary, or delta)", name)
 }
 
-// Rebase thresholds for CodecDelta: a new base snapshot is written when
-// the chain reaches maxChainLen deltas (bounding load-time fold work)
-// or when a single interval moved at least rebaseFraction of the swarm
-// (past which a delta stops being smaller than a base).
+// Rebase thresholds for CodecDelta. A new base is written once the
+// delta bytes since the base, plus the next frame, would exceed the
+// base frame's bytes — past that point the chain costs more to read and
+// fold than a rewrite would — but never on bytes while the deltas fit
+// in rebaseMinBytes: a file that small is read in one page either way,
+// and a base rewrite's fixed create+fsync+rename cost dominates it.
+// maxChainLen caps the frames after one base regardless, bounding
+// load-time fold work: ApplyDelta does an O(n) pass over the
+// scheduler's idle counters per frame, however small the frame.
 const (
 	maxChainLen    = 64
-	rebaseFraction = 0.25
+	rebaseMinBytes = 4096
 )
 
 // endpointSweepMax is the swarm size up to which every delta capture
@@ -78,22 +83,39 @@ const endpointSweepMax = 4096
 // snapshot. For CodecDelta the first Save writes a binary base snapshot
 // and subsequent Saves append a delta frame recording only what changed
 // since the previous Save — at large n with sparse activation that is
-// microseconds and a few hundred bytes instead of an O(n) rewrite —
-// rebasing automatically per the thresholds above. The file is readable
-// by LoadCheckpoint at every moment: after a base, after any delta, and
-// (thanks to the append being a single write and torn trailing frames
-// being dropped on load) even after a crash mid-append.
+// microseconds and a few hundred bytes instead of an O(n) rewrite. A
+// new base is written when the chain reaches maxChainLen deltas or when
+// the delta bytes since the base, plus the new frame, would exceed the
+// base frame's bytes (and rebaseMinBytes; see the thresholds above).
+// The file is readable by LoadCheckpoint at every moment: after a base,
+// after any delta, and (thanks to the append being a single write and
+// torn trailing frames being dropped on load) even after a crash
+// mid-append.
+//
+// A CodecDelta writer created over an existing v2 chain that folds to
+// exactly the swarm's current Checkpoint — the swarm was just restored
+// from that file — adopts the chain instead of starting over: its
+// first Save appends a delta, so resuming an evicted session costs a
+// delta append rather than a full base rewrite. A torn trailing frame
+// is truncated away before that first append. Any other file (absent,
+// unreadable, another codec, or a different state) is left alone until
+// the first Save replaces it with a base.
 type CheckpointWriter struct {
 	s     *Swarm
 	path  string
 	codec CheckpointCodec
 
 	// Delta-chain state: the folded image of what the file holds, the
-	// body CRC of its last frame, the chain length, the world clock and
-	// recorder length at the previous save, and reusable scratch.
+	// body CRC of its last frame, the chain length, the base frame's
+	// bytes and the delta bytes after it, the clean end to truncate a
+	// torn adopted tail to (-1: nothing to truncate), the world clock
+	// and recorder length at the previous save, and reusable scratch.
 	mirror     *Checkpoint
 	prevCRC    uint32
 	chainLen   int
+	baseBytes  int
+	deltaBytes int
+	truncateAt int64
 	sinceTime  int
 	prevRecLen int
 	sweepEps   bool
@@ -106,7 +128,8 @@ type CheckpointWriter struct {
 // writing to path. With no explicit codec it uses the swarm's
 // WithCheckpointCodec preference (default CodecJSON). CodecDelta
 // enables position-touch tracking on the world, so the writer should be
-// created before the run it will checkpoint.
+// created before the run it will checkpoint, and adopts an existing
+// chain at path that matches the swarm (see CheckpointWriter).
 func (s *Swarm) NewCheckpointWriter(path string, codec ...CheckpointCodec) (*CheckpointWriter, error) {
 	c := s.opts.ckptCodec
 	switch len(codec) {
@@ -121,12 +144,48 @@ func (s *Swarm) NewCheckpointWriter(path string, codec ...CheckpointCodec) (*Che
 	default:
 		return nil, fmt.Errorf("waggle: unknown checkpoint codec %d", int(c))
 	}
-	cw := &CheckpointWriter{s: s, path: path, codec: c}
+	cw := &CheckpointWriter{s: s, path: path, codec: c, truncateAt: -1}
 	if c == CodecDelta {
 		s.net.World().EnableTouchTracking()
 		cw.sweepEps = s.messenger != nil || s.opts.stabilizeEpoch > 0 || s.n <= endpointSweepMax
+		if err := cw.adoptChain(); err != nil {
+			return nil, err
+		}
 	}
 	return cw, nil
+}
+
+// adoptChain continues the v2 chain already at the writer's path when
+// it folds to exactly the swarm's current checkpoint — the same deep
+// equality Restore verifies. Anything else is left for the first Save
+// to replace with a base.
+func (cw *CheckpointWriter) adoptChain() error {
+	data, err := os.ReadFile(cw.path)
+	if err != nil {
+		return nil
+	}
+	ch, err := wire.ScanChain(data)
+	if err != nil {
+		return nil
+	}
+	ck, err := cw.s.Checkpoint()
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(ch.Checkpoint, ck) {
+		return nil
+	}
+	cw.mirror = ch.Checkpoint
+	cw.prevCRC = ch.LastCRC
+	cw.chainLen = ch.Deltas
+	cw.baseBytes = ch.BaseBytes
+	cw.deltaBytes = ch.DeltaBytes
+	if ch.Torn {
+		cw.truncateAt = int64(ch.BaseBytes + ch.DeltaBytes)
+	}
+	cw.sinceTime = cw.s.net.World().Time()
+	cw.prevRecLen = cw.s.rec.Len()
+	return nil
 }
 
 // Codec returns the writer's serialization format.
@@ -161,23 +220,24 @@ func (cw *CheckpointWriter) Save() error {
 		cw.lastDelta = false
 		return nil
 	}
-	if cw.mirror == nil || cw.configDrifted() {
+	if cw.mirror == nil || cw.configDrifted() || cw.chainLen >= maxChainLen {
 		return cw.saveBase()
 	}
 	d, err := cw.captureDelta()
 	if err != nil {
 		return err
 	}
-	if cw.chainLen >= maxChainLen || float64(len(d.PosChanged)) >= rebaseFraction*float64(cw.s.n) {
-		return cw.saveBase()
-	}
 	frame, crc, err := wire.EncodeDeltaFrame(d, &cw.mirror.State, cw.prevCRC)
 	if err != nil {
 		return err
 	}
-	if err := appendDurably(cw.path, frame); err != nil {
+	if cw.deltaBytes+len(frame) > max(cw.baseBytes, rebaseMinBytes) {
+		return cw.saveBase()
+	}
+	if err := appendDurably(cw.path, frame, cw.truncateAt); err != nil {
 		return err
 	}
+	cw.truncateAt = -1
 	if err := wire.ApplyDelta(cw.mirror, d); err != nil {
 		// The frame is already on disk but matches the mirror state it
 		// was encoded against; an apply failure here means the delta
@@ -186,6 +246,7 @@ func (cw *CheckpointWriter) Save() error {
 	}
 	cw.prevCRC = crc
 	cw.chainLen++
+	cw.deltaBytes += len(frame)
 	cw.noteSaved(len(frame), true)
 	return nil
 }
@@ -207,6 +268,9 @@ func (cw *CheckpointWriter) saveBase() error {
 	cw.mirror = ck
 	cw.prevCRC = crc
 	cw.chainLen = 0
+	cw.baseBytes = len(frame)
+	cw.deltaBytes = 0
+	cw.truncateAt = -1
 	cw.noteSaved(len(frame), false)
 	return nil
 }
@@ -369,12 +433,20 @@ func (cw *CheckpointWriter) fileSize() int {
 }
 
 // appendDurably appends one frame to the file with a single write and
-// fsyncs it. A crash can only tear the trailing frame, which the chain
-// loader drops — the file never stops being loadable.
-func appendDurably(path string, frame []byte) error {
+// fsyncs it, first truncating the file to truncateAt when that is not
+// negative (dropping a torn tail left by an earlier crash). A crash can
+// only tear the trailing frame, which the chain loader drops — the file
+// never stops being loadable.
+func appendDurably(path string, frame []byte, truncateAt int64) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("waggle: open checkpoint for append: %w", err)
+	}
+	if truncateAt >= 0 {
+		if err := f.Truncate(truncateAt); err != nil {
+			f.Close()
+			return fmt.Errorf("waggle: truncate torn checkpoint tail: %w", err)
+		}
 	}
 	if _, err := f.Write(frame); err != nil {
 		f.Close()

@@ -461,3 +461,43 @@ func TestValidation(t *testing.T) {
 		t.Fatal("unknown session not 404")
 	}
 }
+
+// TestResumedWritesAppendDeltas pins that a write op on an evicted
+// session continues the session's checkpoint chain: the resumed
+// writer's save appends a delta frame instead of rewriting a base.
+func TestResumedWritesAppendDeltas(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Stream: true})
+	a := createSession(t, ts.URL, CreateRequest{
+		Positions: [][2]float64{{0, 0}, {8, 0}, {0, 9}, {7, 7}},
+		Seed:      5,
+		Trace:     true,
+	})
+	url := ts.URL + "/v1/sessions/" + a.ID
+	srv.mu.RLock()
+	sess := srv.sessions[a.ID]
+	srv.mu.RUnlock()
+	chain := 0
+	for i := 0; i < 6; i++ {
+		if n := srv.EvictIdle(0); n != 1 {
+			t.Fatalf("op %d: evicted %d sessions, want 1", i, n)
+		}
+		if status, _ := do(t, "POST", url+"/step", StepRequest{Steps: 20}, nil); status != http.StatusOK {
+			t.Fatalf("op %d: step status %d", i, status)
+		}
+		var delta bool
+		var got int
+		// Read the writer on its shard worker, which owns it.
+		if err := srv.run(context.Background(), sess.shard, func() {
+			delta, got = sess.writer.LastSaveWasDelta(), sess.writer.ChainLen()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !delta {
+			t.Fatalf("op %d: the resumed session's save rewrote a base", i)
+		}
+		// Each round appends the evict's delta and the step's delta.
+		if chain += 2; got != chain {
+			t.Fatalf("op %d: chain length %d, want %d", i, got, chain)
+		}
+	}
+}

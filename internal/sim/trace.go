@@ -1,8 +1,9 @@
 package sim
 
 import (
-	"fmt"
 	"io"
+	"math"
+	"strconv"
 
 	"waggle/internal/geom"
 )
@@ -142,24 +143,108 @@ func minPairwise(pts []geom.Point) float64 {
 // the initial configuration at time -1. The format feeds external
 // plotting tools.
 func (tr *Trace) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "time,robot,x,y\n"); err != nil {
+	_, err := tr.WriteCSVFrom(w, 0)
+	return err
+}
+
+// WriteCSVFrom writes the CSV records of WriteCSV from record cursor on
+// and returns the cursor past the last record written. Record 0 is the
+// header plus the initial configuration; record k ≥ 1 is the rows of
+// the k-th recorded instant. The trace is append-only, so feeding
+// successive calls, each resuming at the previous call's cursor, into
+// one writer yields exactly the bytes of a single WriteCSV — which is
+// how a running digest of the CSV costs only the instants added since
+// it was last taken.
+func (tr *Trace) WriteCSVFrom(w io.Writer, cursor int) (int, error) {
+	buf := make([]byte, 0, csvChunk)
+	flush := func() error {
+		_, err := w.Write(buf)
+		buf = buf[:0]
 		return err
 	}
-	writeRow := func(t, robot int, p geom.Point) error {
-		_, err := fmt.Fprintf(w, "%d,%d,%g,%g\n", t, robot, p.X, p.Y)
-		return err
-	}
-	for i, p := range tr.initial {
-		if err := writeRow(-1, i, p); err != nil {
-			return err
+	// tails caches each robot's last rendered "x,y\n": between instants
+	// most robots stay put (all but the activated few under an
+	// asynchronous scheduler), and rendering the floats is most of a
+	// row's cost. Positions are compared bit for bit, so -0 and 0 stay
+	// distinct.
+	var tails []csvTail
+	rows := func(t int, pts []geom.Point) error {
+		if len(tails) < len(pts) {
+			tails = append(tails, make([]csvTail, len(pts)-len(tails))...)
 		}
-	}
-	for _, s := range tr.steps {
-		for i, p := range s.Positions {
-			if err := writeRow(s.Time, i, p); err != nil {
-				return err
+		for i, p := range pts {
+			buf = appendCSVPrefix(buf, t, i)
+			c := &tails[i]
+			x, y := math.Float64bits(p.X), math.Float64bits(p.Y)
+			if c.b == nil || c.x != x || c.y != y {
+				c.x, c.y = x, y
+				c.b = appendCSVTail(c.b[:0], p)
+			}
+			buf = append(buf, c.b...)
+			if len(buf) > csvChunk-csvRowMax {
+				if err := flush(); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
 	}
-	return nil
+	if cursor <= 0 {
+		buf = append(buf, csvHeader...)
+		if err := rows(-1, tr.initial); err != nil {
+			return cursor, err
+		}
+		cursor = 1
+	}
+	for ; cursor <= len(tr.steps); cursor++ {
+		s := &tr.steps[cursor-1]
+		if err := rows(s.Time, s.Positions); err != nil {
+			return cursor, err
+		}
+	}
+	if len(buf) > 0 {
+		if err := flush(); err != nil {
+			return cursor, err
+		}
+	}
+	return cursor, nil
+}
+
+const (
+	csvHeader = "time,robot,x,y\n"
+	// csvChunk is the size of the buffer WriteCSVFrom renders rows
+	// through; a chunk is flushed before it could need to grow.
+	csvChunk = 4096
+	// csvRowMax bounds one row: two 20-digit ints, two shortest-form
+	// float64s (at most 24 bytes each), three commas and a newline.
+	csvRowMax = 128
+)
+
+// csvTail is one robot's rendered "x,y\n" and the position bits it
+// renders.
+type csvTail struct {
+	x, y uint64
+	b    []byte
+}
+
+// appendCSVRow appends the row "t,robot,x,y\n" formatted exactly as
+// fmt's "%d,%d,%g,%g\n" would, through strconv instead of fmt.
+func appendCSVRow(dst []byte, t, robot int, p geom.Point) []byte {
+	return appendCSVTail(appendCSVPrefix(dst, t, robot), p)
+}
+
+// appendCSVPrefix appends a row's "t,robot," part.
+func appendCSVPrefix(dst []byte, t, robot int) []byte {
+	dst = strconv.AppendInt(dst, int64(t), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(robot), 10)
+	return append(dst, ',')
+}
+
+// appendCSVTail appends a row's "x,y\n" part.
+func appendCSVTail(dst []byte, p geom.Point) []byte {
+	dst = strconv.AppendFloat(dst, p.X, 'g', -1, 64)
+	dst = append(dst, ',')
+	dst = strconv.AppendFloat(dst, p.Y, 'g', -1, 64)
+	return append(dst, '\n')
 }

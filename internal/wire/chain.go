@@ -65,6 +65,36 @@ func EncodeDeltaFrame(d *Delta, prev *ckpt.State, prevCRC uint32) ([]byte, uint3
 // DecodeChain parses a base frame plus appended delta frames and folds
 // them into one checkpoint.
 func DecodeChain(data []byte) (*ckpt.Checkpoint, error) {
+	c, err := ScanChain(data)
+	if err != nil {
+		return nil, err
+	}
+	return c.Checkpoint, nil
+}
+
+// Chain is a scanned v2 checkpoint file: the folded checkpoint plus
+// what a writer needs to keep appending to the chain where it ends.
+type Chain struct {
+	// Checkpoint is the base folded with every complete delta frame.
+	Checkpoint *ckpt.Checkpoint
+	// BaseBytes is the size of the base frame; DeltaBytes the summed
+	// size of the complete delta frames after it. Their sum is the
+	// clean end: the offset just past the last complete frame.
+	BaseBytes  int
+	DeltaBytes int
+	// Deltas counts the complete delta frames.
+	Deltas int
+	// LastCRC is the body CRC of the last complete frame — the link the
+	// next appended delta must carry.
+	LastCRC uint32
+	// Torn reports that bytes follow the clean end: a trailing frame
+	// torn by a crash mid-append, which the fold dropped.
+	Torn bool
+}
+
+// ScanChain parses a base frame plus appended delta frames, folds them
+// into one checkpoint, and reports the chain's framing (see Chain).
+func ScanChain(data []byte) (*Chain, error) {
 	if len(data) < len(magicBase) {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the v2 magic", ckpt.ErrTruncated, len(data))
 	}
@@ -84,7 +114,7 @@ func DecodeChain(data []byte) (*ckpt.Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	prevCRC := storedCRC
+	c := &Chain{Checkpoint: ck, BaseBytes: len(data) - len(tail), LastCRC: storedCRC}
 	for len(tail) > 0 {
 		if len(tail) < len(magicDelta) {
 			break // torn trailing append, shorter than a magic
@@ -114,7 +144,7 @@ func DecodeChain(data []byte) (*ckpt.Checkpoint, error) {
 		if crc32.ChecksumIEEE(body) != bodyCRC {
 			return nil, fmt.Errorf("%w: delta frame body does not match its CRC32", ckpt.ErrChecksum)
 		}
-		if linkCRC != prevCRC {
+		if linkCRC != c.LastCRC {
 			return nil, fmt.Errorf("%w: delta frame links to a different predecessor (chain spliced?)", ckpt.ErrChecksum)
 		}
 		d, err := decodeDeltaBody(body, &ck.State)
@@ -124,10 +154,13 @@ func DecodeChain(data []byte) (*ckpt.Checkpoint, error) {
 		if err := ApplyDelta(ck, d); err != nil {
 			return nil, err
 		}
-		prevCRC = bodyCRC
+		c.LastCRC = bodyCRC
+		c.Deltas++
 		tail = rest[bodyLen:]
 	}
-	return ck, nil
+	c.DeltaBytes = len(data) - len(tail) - c.BaseBytes
+	c.Torn = len(tail) > 0
+	return c, nil
 }
 
 // splitFrameBody parses "uvarint(len) | crc 4B | body" and returns the

@@ -27,6 +27,7 @@ package waggle
 import (
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 
 	"waggle/internal/ckpt"
@@ -108,6 +109,11 @@ type Swarm struct {
 	// stream is the attached movement-stream writer, if any. Not part
 	// of the checkpointed identity (see StreamWriter).
 	stream *StreamWriter
+	// traceHash is the running SHA-256 of the trace CSV and traceNext
+	// the sim.Trace record cursor it has consumed up to (see
+	// traceDigest). Both stay zero until a digest is first requested.
+	traceHash hash.Hash
+	traceNext int
 }
 
 // ErrTooFewRobots is returned for swarms of fewer than two robots.
