@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: verify build vet fmt-check test race bench bench-json bench-check bench-step bench-ckpt bench-serve bench-queen bench-stream chaos-check obs-check replay-check serve-check stream-check queen-check perfbench-check vulncheck
+.PHONY: verify build vet fmt-check test race bench bench-json bench-check bench-step bench-ckpt bench-serve bench-queen bench-stream chaos-check obs-check replay-check serve-check stream-check queen-check perfbench-check fuzz-check vulncheck
 
-verify: build vet fmt-check race bench-check chaos-check obs-check replay-check serve-check stream-check queen-check perfbench-check vulncheck
+verify: build vet fmt-check race bench-check chaos-check obs-check replay-check serve-check stream-check queen-check perfbench-check fuzz-check vulncheck
 
 build:
 	$(GO) build ./...
@@ -142,6 +142,15 @@ bench-serve:
 perfbench-check:
 	$(GO) -C perfbench vet .
 	$(GO) -C perfbench test -short .
+
+# Fuzz smoke: a few seconds each on the shared byte boundaries — the
+# checkpoint decoder, the append-only frame scanner every log shares
+# (wire/log.go), and the stream tail spectate feeds client offsets into.
+# `go test -fuzz` takes one target per call.
+fuzz-check:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzScanLog$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzTailStream$$' -fuzztime 5s ./internal/wire
 
 # Known-vulnerability scan, skipped gracefully when govulncheck is not
 # installed or its database is unreachable (offline CI).

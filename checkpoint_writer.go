@@ -107,15 +107,14 @@ type CheckpointWriter struct {
 
 	// Delta-chain state: the folded image of what the file holds, the
 	// body CRC of its last frame, the chain length, the base frame's
-	// bytes and the delta bytes after it, the clean end to truncate a
-	// torn adopted tail to (-1: nothing to truncate), the world clock
-	// and recorder length at the previous save, and reusable scratch.
+	// bytes and the delta bytes after it (their sum is the clean end
+	// the next delta is appended at), the world clock and recorder
+	// length at the previous save, and reusable scratch.
 	mirror     *Checkpoint
 	prevCRC    uint32
 	chainLen   int
 	baseBytes  int
 	deltaBytes int
-	truncateAt int64
 	sinceTime  int
 	prevRecLen int
 	sweepEps   bool
@@ -144,7 +143,7 @@ func (s *Swarm) NewCheckpointWriter(path string, codec ...CheckpointCodec) (*Che
 	default:
 		return nil, fmt.Errorf("waggle: unknown checkpoint codec %d", int(c))
 	}
-	cw := &CheckpointWriter{s: s, path: path, codec: c, truncateAt: -1}
+	cw := &CheckpointWriter{s: s, path: path, codec: c}
 	if c == CodecDelta {
 		s.net.World().EnableTouchTracking()
 		cw.sweepEps = s.messenger != nil || s.opts.stabilizeEpoch > 0 || s.n <= endpointSweepMax
@@ -180,9 +179,6 @@ func (cw *CheckpointWriter) adoptChain() error {
 	cw.chainLen = ch.Deltas
 	cw.baseBytes = ch.BaseBytes
 	cw.deltaBytes = ch.DeltaBytes
-	if ch.Torn {
-		cw.truncateAt = int64(ch.BaseBytes + ch.DeltaBytes)
-	}
 	cw.sinceTime = cw.s.net.World().Time()
 	cw.prevRecLen = cw.s.rec.Len()
 	return nil
@@ -234,10 +230,9 @@ func (cw *CheckpointWriter) Save() error {
 	if cw.deltaBytes+len(frame) > max(cw.baseBytes, rebaseMinBytes) {
 		return cw.saveBase()
 	}
-	if err := appendDurably(cw.path, frame, cw.truncateAt); err != nil {
+	if err := cw.appendDelta(frame); err != nil {
 		return err
 	}
-	cw.truncateAt = -1
 	if err := wire.ApplyDelta(cw.mirror, d); err != nil {
 		// The frame is already on disk but matches the mirror state it
 		// was encoded against; an apply failure here means the delta
@@ -270,7 +265,6 @@ func (cw *CheckpointWriter) saveBase() error {
 	cw.chainLen = 0
 	cw.baseBytes = len(frame)
 	cw.deltaBytes = 0
-	cw.truncateAt = -1
 	cw.noteSaved(len(frame), false)
 	return nil
 }
@@ -432,32 +426,23 @@ func (cw *CheckpointWriter) fileSize() int {
 	return int(fi.Size())
 }
 
-// appendDurably appends one frame to the file with a single write and
-// fsyncs it, first truncating the file to truncateAt when that is not
-// negative (dropping a torn tail left by an earlier crash). A crash can
-// only tear the trailing frame, which the chain loader drops — the file
-// never stops being loadable.
-func appendDurably(path string, frame []byte, truncateAt int64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+// appendDelta appends one delta frame at the chain's clean end with a
+// single write and fsyncs it. Opening the log there truncates a torn
+// tail left by an earlier crash (an adopted chain's); a crash now can
+// only tear this trailing frame, which the chain loader drops — the
+// file never stops being loadable. The log is closed again, so a
+// writer holds no descriptor between saves.
+func (cw *CheckpointWriter) appendDelta(frame []byte) error {
+	log, err := wire.OpenLog(cw.path, int64(cw.baseBytes+cw.deltaBytes), 1)
 	if err != nil {
-		return fmt.Errorf("waggle: open checkpoint for append: %w", err)
-	}
-	if truncateAt >= 0 {
-		if err := f.Truncate(truncateAt); err != nil {
-			f.Close()
-			return fmt.Errorf("waggle: truncate torn checkpoint tail: %w", err)
-		}
-	}
-	if _, err := f.Write(frame); err != nil {
-		f.Close()
 		return fmt.Errorf("waggle: append checkpoint delta: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("waggle: sync checkpoint delta: %w", err)
+	err = log.Append(frame)
+	if cerr := log.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("waggle: close checkpoint: %w", err)
+	if err != nil {
+		return fmt.Errorf("waggle: append checkpoint delta: %w", err)
 	}
 	return nil
 }

@@ -1,26 +1,35 @@
 package queen
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"sync"
+
+	"waggle/internal/wire"
 )
 
-// The journal is the queen's durable task-graph state: a JSONL file
-// whose first line records the campaign spec and whose subsequent
-// lines record shard completions and the final merge, each fsynced
-// before the triggering request is acknowledged. A restarted queen
-// replays it to resume the campaign without re-running finished
-// shards. Leases and snapshots are deliberately NOT journaled — they
-// are volatile coordination state, reconstructed by the live protocol
-// (a shard in flight when the queen died is simply leased again).
+// The journal is the queen's durable task-graph state: an append-only
+// log of CRC-framed JSON events (wire/log.go) whose first frame records
+// the campaign spec and whose subsequent frames record shard
+// completions and the final merge, each fsynced before the triggering
+// request is acknowledged. A restarted queen replays it to resume the
+// campaign without re-running finished shards. Leases and snapshots are
+// deliberately NOT journaled — they are volatile coordination state,
+// reconstructed by the live protocol (a shard in flight when the queen
+// died is simply leased again).
 //
-// A torn final line (queen killed mid-append) is tolerated on read:
-// the event it described simply did not happen.
+// A torn final frame (queen killed mid-append) is dropped on read — the
+// event it described simply did not happen — and truncated away when
+// the journal is reopened, before the first new append. A complete
+// frame that fails its CRC is corruption and an error.
 
-// journalEvent is one JSONL record.
+// journalMagic tags every journal frame.
+var journalMagic = wire.Magic{Tag: "WQJ1"}
+
+// journalEvent is one journal frame's body.
 type journalEvent struct {
 	Ev string `json:"ev"` // "campaign" | "done" | "merged"
 	// Spec is set on "campaign".
@@ -32,33 +41,33 @@ type journalEvent struct {
 
 // journalWriter appends fsynced events.
 type journalWriter struct {
-	mu sync.Mutex
-	f  *os.File
+	mu  sync.Mutex
+	log *wire.Log
 }
 
 // openJournal opens (or creates) the journal at path. A fresh file
 // gets the campaign record; an existing one must already describe the
 // same campaign — NewFromJournal is the path for resuming.
 func openJournal(path string, spec Spec) (*journalWriter, error) {
-	st, err := os.Stat(path)
-	fresh := err != nil || st.Size() == 0
-	if !fresh {
-		rec, err := readJournal(path)
-		if err != nil {
-			return nil, err
-		}
-		if !specEqual(spec, rec.spec) {
-			return nil, fmt.Errorf("queen: journal %s holds a different campaign; resume it with -journal alone or point -journal elsewhere", path)
-		}
+	rec, err := readJournal(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, errEmptyJournal) {
+		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if rec != nil && !specEqual(spec, rec.spec) {
+		return nil, fmt.Errorf("queen: journal %s holds a different campaign; resume it with -journal alone or point -journal elsewhere", path)
+	}
+	end := int64(0)
+	if rec != nil {
+		end = rec.end
+	}
+	log, err := wire.OpenLog(path, end, 1)
 	if err != nil {
 		return nil, err
 	}
-	jw := &journalWriter{f: f}
-	if fresh {
+	jw := &journalWriter{log: log}
+	if rec == nil {
 		if err := jw.append(journalEvent{Ev: "campaign", Spec: &spec}); err != nil {
-			f.Close()
+			log.Close()
 			return nil, err
 		}
 	}
@@ -66,21 +75,15 @@ func openJournal(path string, spec Spec) (*journalWriter, error) {
 }
 
 func (jw *journalWriter) append(ev journalEvent) error {
-	line, err := json.Marshal(ev)
+	body, err := json.Marshal(ev)
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
+	frame, _ := wire.EncodeFrame(journalMagic, 0, body)
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
-	if jw.f == nil {
-		return fmt.Errorf("queen: journal closed")
-	}
-	if _, err := jw.f.Write(line); err != nil {
-		return fmt.Errorf("queen: journal append: %w", err)
-	}
-	if err := jw.f.Sync(); err != nil {
-		return fmt.Errorf("queen: journal sync: %w", err)
+	if err := jw.log.Append(frame); err != nil {
+		return fmt.Errorf("queen: journal: %w", err)
 	}
 	return nil
 }
@@ -96,69 +99,58 @@ func (jw *journalWriter) appendMerged() error {
 func (jw *journalWriter) close() {
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
-	if jw.f != nil {
-		jw.f.Close()
-		jw.f = nil
-	}
+	jw.log.Close()
 }
 
-// journalRecord is a replayed journal: the campaign and its completed
-// shards.
+// journalRecord is a replayed journal: the campaign, its completed
+// shards, and the clean end a reopened writer appends at.
 type journalRecord struct {
 	spec    Spec
 	results map[string]json.RawMessage
 	merged  bool
+	end     int64
 }
 
-// readJournal replays the journal at path. The last line may be torn;
-// any other malformed line is corruption and an error.
+// errEmptyJournal: the journal holds no complete frame.
+var errEmptyJournal = errors.New("queen: journal holds no complete record")
+
+// readJournal replays the journal at path. A torn final frame is
+// dropped; any other damage is an error.
 func readJournal(path string) (*journalRecord, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	if len(data) > 0 && data[0] == '{' {
+		return nil, fmt.Errorf("queen: journal %s is a JSONL journal, a format no longer read", path)
+	}
 	rec := &journalRecord{results: map[string]json.RawMessage{}}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	var torn error
 	n := 0
-	for sc.Scan() {
-		if torn != nil {
-			return nil, fmt.Errorf("queen: journal %s line %d: %w", path, n, torn)
-		}
+	rec.end, _, err = wire.ScanLog(data, []wire.Magic{journalMagic}, func(f wire.Frame) error {
 		n++
 		var ev journalEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			// Tolerated only as the final line (torn append).
-			torn = err
-			continue
+		if err := json.Unmarshal(f.Body, &ev); err != nil {
+			return fmt.Errorf("record %d: %w", n, err)
 		}
-		switch ev.Ev {
-		case "campaign":
-			if n != 1 {
-				return nil, fmt.Errorf("queen: journal %s: campaign record on line %d", path, n)
-			}
+		switch {
+		case ev.Ev == "campaign" && n == 1 && ev.Spec != nil:
 			rec.spec = *ev.Spec
-		case "done":
-			if n == 1 {
-				return nil, fmt.Errorf("queen: journal %s does not start with a campaign record", path)
-			}
+		case n == 1:
+			return errors.New("does not start with a campaign record")
+		case ev.Ev == "done":
 			rec.results[ev.Shard] = ev.Result
-		case "merged":
+		case ev.Ev == "merged":
 			rec.merged = true
 		default:
-			return nil, fmt.Errorf("queen: journal %s line %d: unknown event %q", path, n, ev.Ev)
+			return fmt.Errorf("record %d: unexpected event %q", n, ev.Ev)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("queen: journal %s: %w", path, err)
 	}
 	if n == 0 {
-		return nil, fmt.Errorf("queen: journal %s is empty", path)
-	}
-	if rec.spec.Kind == "" {
-		return nil, fmt.Errorf("queen: journal %s does not start with a campaign record", path)
+		return nil, fmt.Errorf("%w: %s", errEmptyJournal, path)
 	}
 	return rec, nil
 }

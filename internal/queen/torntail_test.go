@@ -1,6 +1,7 @@
 package queen
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -14,18 +15,19 @@ import (
 	"waggle/internal/wire"
 )
 
-// The repo has three append-only durable formats, each promising the
-// same crash contract: a writer killed mid-append costs exactly the
-// torn trailing record, never the file. This suite drives all three
-// readers — waggle-stream/v1 (wire.TailStream), the WCD2 checkpoint
-// delta chain (wire.DecodeChain), and the queen's JSONL journal
-// (readJournal) — through the same table of mutilations: the final
-// record cut mid-magic, mid-length-header, mid-CRC, and mid-body, plus
-// a complete final record with a corrupted body. Every cut must load
-// as exactly the clean prefix; the corruption case must be refused by
-// the CRC-framed formats (a complete record with a bad checksum cannot
-// be a crash artifact) and tolerated by the journal only because its
-// line framing cannot tell corruption from a torn append.
+// The repo has three append-only durable formats, all on the one frame
+// discipline of wire/log.go and each promising the same crash contract:
+// a writer killed mid-append costs exactly the torn trailing record,
+// never the file. This suite drives all three — waggle-stream/v1
+// (wire.TailStream), the WCD2 checkpoint delta chain (wire.DecodeChain)
+// and the queen's journal (readJournal) — through the same table of
+// mutilations: the final record cut mid-magic, mid-length-header,
+// mid-CRC, and mid-body, plus a complete final record with a corrupted
+// body, plus a short tail that is not a prefix of any magic. Every cut
+// must load as exactly the clean prefix, and reopening the format's
+// writer on it and appending one record must leave exactly the clean
+// prefix plus that record. The corrupt body and the foreign tail cannot
+// be crash artifacts and must be refused.
 
 // tornFormat adapts one format to the shared table.
 type tornFormat struct {
@@ -37,17 +39,19 @@ type tornFormat struct {
 	// is the reader's explicit torn-tail report (always false for
 	// readers that tolerate silently).
 	read func(t *testing.T, dir string, data []byte) (state any, torn bool, err error)
+	// reopen reopens the format's writer on the file at path, the way a
+	// restarted process does, and appends one record.
+	reopen func(t *testing.T, path string)
 	// cuts maps the shared cut names to byte offsets inside the final
-	// record [lastRec, end). The journal has no binary header, so its
-	// cuts degrade to positions inside the final line.
+	// record [lastRec, end).
 	cuts func(data []byte, lastRec int64) map[string]int64
 	// reportsTorn: the reader surfaces torn=true on a cut tail.
 	reportsTorn bool
 	// corruptAt returns the offset whose byte the corruption case
 	// flips, leaving the record complete but its body wrong.
 	corruptAt func(data []byte) int64
-	// wantCorruptErr: the corrupted-body case must fail (CRC-framed
-	// formats) rather than be dropped as a torn tail.
+	// wantCorruptErr: the corrupted-body case must fail with
+	// ErrChecksum rather than be dropped as a torn tail.
 	wantCorruptErr bool
 }
 
@@ -98,6 +102,18 @@ func tornFormats() []tornFormat {
 				recs, torn, err := wire.DecodeStream(data)
 				return recs, torn, err
 			},
+			reopen: func(t *testing.T, path string) {
+				sw, err := wire.OpenStream(path, 3, 0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sw.AppendKeyframe(9, []ckpt.XY{{X: 1, Y: 1}, {X: 2, Y: 1}, {X: 3, Y: 1}}, 0, ""); err != nil {
+					t.Fatal(err)
+				}
+				if err := sw.Close(); err != nil {
+					t.Fatal(err)
+				}
+			},
 			cuts: func(data []byte, lastRec int64) map[string]int64 {
 				return framedCuts(data, lastRec, 4)
 			},
@@ -147,6 +163,29 @@ func tornFormats() []tornFormat {
 				ck, err := wire.DecodeChain(data)
 				return ck, false, err
 			},
+			reopen: func(t *testing.T, path string) {
+				ck, err := waggle.LoadCheckpoint(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := waggle.Restore(ck)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cw, err := res.Swarm.NewCheckpointWriter(path, waggle.CodecDelta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := res.Swarm.Send(2, 0, []byte{9}); err != nil {
+					t.Fatal(err)
+				}
+				if err := cw.Save(); err != nil {
+					t.Fatal(err)
+				}
+				if !cw.LastSaveWasDelta() {
+					t.Fatal("save after reopening the chain was not a delta append")
+				}
+			},
 			cuts: func(data []byte, lastRec int64) map[string]int64 {
 				return framedCuts(data, lastRec, 4)
 			},
@@ -187,32 +226,30 @@ func tornFormats() []tornFormat {
 				rec, err := readJournal(path)
 				return rec, false, err
 			},
-			cuts: func(data []byte, lastRec int64) map[string]int64 {
-				// No binary header: every cut lands inside the final
-				// JSONL line. mid-body must cut real content — end-1
-				// would only shave the newline and leave a complete line.
-				span := int64(len(data)) - lastRec
-				return map[string]int64{
-					"mid-magic":  lastRec + 1,
-					"mid-length": lastRec + span/3,
-					"mid-crc":    lastRec + span/2,
-					"mid-body":   int64(len(data)) - 2,
+			reopen: func(t *testing.T, path string) {
+				jw, err := openJournal(path, Spec{Kind: "chaos", Seed: 7, Names: []string{"a", "b"}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer jw.close()
+				if err := jw.appendDone("b", json.RawMessage(`{"ok":false}`)); err != nil {
+					t.Fatal(err)
 				}
 			},
-			// Line framing cannot distinguish a corrupted final line
-			// from a torn append, so corruption in the last line is
-			// dropped like a tear (anywhere else it is an error, pinned
-			// by TestJournalRejectsMidFileCorruption below).
-			corruptAt:      func(data []byte) int64 { return int64(len(data)) - 2 },
-			wantCorruptErr: false,
+			cuts: func(data []byte, lastRec int64) map[string]int64 {
+				return framedCuts(data, lastRec, 4)
+			},
+			corruptAt:      func(data []byte) int64 { return int64(len(data)) - 1 },
+			wantCorruptErr: true,
 		},
 	}
 }
 
 // TestTornTailSuite is the shared crash-contract table: for every
 // format, every cut of the final record loads as exactly the clean
-// prefix, and a complete-but-corrupt final record is refused by the
-// CRC-framed readers.
+// prefix and reopens to exactly the clean prefix plus the appended
+// record, while a complete-but-corrupt final record and a tail that is
+// no magic prefix are refused.
 func TestTornTailSuite(t *testing.T) {
 	for _, f := range tornFormats() {
 		f := f
@@ -234,6 +271,15 @@ func TestTornTailSuite(t *testing.T) {
 			if reflect.DeepEqual(full, want) {
 				t.Fatalf("final record does not change the loaded state; the cuts below would prove nothing")
 			}
+			// The writer reopened on the clean prefix appends one record
+			// after it; on every cut it must write the same bytes.
+			wantFile := reopened(t, f, data[:lastRec])
+			if len(wantFile) <= int(lastRec) || !bytes.Equal(wantFile[:lastRec], data[:lastRec]) {
+				t.Fatalf("reopen on the clean prefix did not append after it")
+			}
+			if got, torn, err := f.read(t, dir, wantFile); err != nil || torn || reflect.DeepEqual(got, want) {
+				t.Fatalf("reopened clean prefix: torn=%v err=%v, or the appended record was lost", torn, err)
+			}
 
 			for name, cut := range f.cuts(data, lastRec) {
 				if cut <= lastRec || cut >= int64(len(data)) {
@@ -250,6 +296,14 @@ func TestTornTailSuite(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: cut file did not load as the clean prefix", name)
 				}
+				if !bytes.Equal(reopened(t, f, data[:cut]), wantFile) {
+					t.Errorf("%s: reopen + append did not leave the clean prefix plus one record", name)
+				}
+			}
+
+			foreign := append(append([]byte(nil), data[:lastRec]...), "XY"...)
+			if _, _, err := f.read(t, dir, foreign); !errors.Is(err, ckpt.ErrSchema) {
+				t.Errorf("tail that is no magic prefix: err=%v, want ErrSchema", err)
 			}
 
 			mutated := append([]byte(nil), data...)
@@ -268,6 +322,22 @@ func TestTornTailSuite(t *testing.T) {
 			}
 		})
 	}
+}
+
+// reopened writes data to a fresh file, runs the format's reopen (which
+// appends one record) on it, and returns the file's bytes.
+func reopened(t *testing.T, f tornFormat, data []byte) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "reopen")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f.reopen(t, path)
+	out, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestJournalRejectsMidFileCorruption pins the boundary of the

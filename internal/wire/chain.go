@@ -1,15 +1,13 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"waggle/internal/ckpt"
 )
 
 // Frame layout. A v2 checkpoint file is one base frame followed by zero
-// or more delta frames, each:
+// or more delta frames, in the log.go frame discipline:
 //
 //	base:  "WCK2" | uvarint(len(body)) | crc32(body) LE32 | body
 //	delta: "WCD2" | uvarint(len(body)) | crc32(body) LE32 | prevCRC LE32 | body
@@ -21,11 +19,14 @@ import (
 // restore-time recapture check would catch that too — the link just
 // turns a late, opaque mismatch into an immediate, typed one.)
 //
-// Only a *trailing* delta frame may be torn (header or body extending
-// past EOF): that is the signature of a crash during an append, and the
+// Only a *trailing* delta frame may be torn (a prefix of it left at
+// EOF): that is the signature of a crash during an append, and the
 // chain loads as of the last complete frame — matching the atomicity
 // the v1 rename-based save promises. A torn base frame, or corruption
 // anywhere else, is a typed error.
+
+// chainMagics are the frame kinds a v2 checkpoint file may hold.
+var chainMagics = []Magic{magicBase, magicDelta}
 
 // EncodeBaseFrame serializes a checkpoint as one base frame and returns
 // the frame plus the body CRC (the prevCRC for the first appended
@@ -35,12 +36,7 @@ func EncodeBaseFrame(ck *ckpt.Checkpoint) ([]byte, uint32, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	crc := crc32.ChecksumIEEE(body)
-	frame := make([]byte, 0, len(magicBase)+binary.MaxVarintLen64+4+len(body))
-	frame = append(frame, magicBase...)
-	frame = binary.AppendUvarint(frame, uint64(len(body)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc)
-	frame = append(frame, body...)
+	frame, crc := EncodeFrame(magicBase, 0, body)
 	return frame, crc, nil
 }
 
@@ -52,13 +48,7 @@ func EncodeDeltaFrame(d *Delta, prev *ckpt.State, prevCRC uint32) ([]byte, uint3
 	if err != nil {
 		return nil, 0, err
 	}
-	crc := crc32.ChecksumIEEE(body)
-	frame := make([]byte, 0, len(magicDelta)+binary.MaxVarintLen64+8+len(body))
-	frame = append(frame, magicDelta...)
-	frame = binary.AppendUvarint(frame, uint64(len(body)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc)
-	frame = binary.LittleEndian.AppendUint32(frame, prevCRC)
-	frame = append(frame, body...)
+	frame, crc := EncodeFrame(magicDelta, prevCRC, body)
 	return frame, crc, nil
 }
 
@@ -93,99 +83,47 @@ type Chain struct {
 }
 
 // ScanChain parses a base frame plus appended delta frames, folds them
-// into one checkpoint, and reports the chain's framing (see Chain).
+// into one checkpoint, and reports the chain's framing (see Chain). On
+// top of ScanLog it enforces the chain's own rules: the first frame is
+// a complete base, every later one a delta linked to its predecessor.
 func ScanChain(data []byte) (*Chain, error) {
-	if len(data) < len(magicBase) {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the v2 magic", ckpt.ErrTruncated, len(data))
-	}
-	if !Detect(data) {
-		return nil, fmt.Errorf("%w: not a %s file (magic %q)", ckpt.ErrSchema, Schema, data[:len(magicBase)])
-	}
-	rest := data[len(magicBase):]
-	body, tail, ok := splitFrameBody(rest)
-	if !ok {
-		return nil, fmt.Errorf("%w: base frame extends past end of file", ckpt.ErrTruncated)
-	}
-	storedCRC := binary.LittleEndian.Uint32(tailCRC(rest))
-	if crc32.ChecksumIEEE(body) != storedCRC {
-		return nil, fmt.Errorf("%w: base frame body does not match its CRC32", ckpt.ErrChecksum)
-	}
-	ck, err := decodeCheckpointBody(body)
+	c := &Chain{}
+	end, torn, err := ScanLog(data, chainMagics, func(f Frame) error {
+		if c.Checkpoint == nil {
+			if f.Magic != magicBase {
+				return fmt.Errorf("%w: not a %s file (magic %q)", ckpt.ErrSchema, Schema, f.Magic.Tag)
+			}
+			ck, err := decodeCheckpointBody(f.Body)
+			if err != nil {
+				return err
+			}
+			c.Checkpoint, c.BaseBytes, c.LastCRC = ck, int(f.Next), f.CRC
+			return nil
+		}
+		if f.Magic != magicDelta {
+			return fmt.Errorf("%w: expected a delta frame, found magic %q", ckpt.ErrSchema, f.Magic.Tag)
+		}
+		if f.Link != c.LastCRC {
+			return fmt.Errorf("%w: delta frame links to a different predecessor (chain spliced?)", ckpt.ErrChecksum)
+		}
+		d, err := decodeDeltaBody(f.Body, &c.Checkpoint.State)
+		if err != nil {
+			return err
+		}
+		if err := ApplyDelta(c.Checkpoint, d); err != nil {
+			return err
+		}
+		c.LastCRC = f.CRC
+		c.Deltas++
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	c := &Chain{Checkpoint: ck, BaseBytes: len(data) - len(tail), LastCRC: storedCRC}
-	for len(tail) > 0 {
-		if len(tail) < len(magicDelta) {
-			break // torn trailing append, shorter than a magic
-		}
-		if string(tail[:len(magicDelta)]) != string(magicDelta) {
-			return nil, fmt.Errorf("%w: expected a delta frame, found magic %q", ckpt.ErrSchema, tail[:len(magicDelta)])
-		}
-		rest := tail[len(magicDelta):]
-		bodyLen, n := binary.Uvarint(rest)
-		if n == 0 {
-			break // torn mid-header
-		}
-		if n < 0 {
-			return nil, fmt.Errorf("%w: malformed delta frame length", ckpt.ErrTruncated)
-		}
-		rest = rest[n:]
-		if len(rest) < 8 {
-			break // torn mid-header
-		}
-		bodyCRC := binary.LittleEndian.Uint32(rest[:4])
-		linkCRC := binary.LittleEndian.Uint32(rest[4:8])
-		rest = rest[8:]
-		if uint64(len(rest)) < bodyLen {
-			break // torn mid-body: load as of the last complete frame
-		}
-		body := rest[:bodyLen]
-		if crc32.ChecksumIEEE(body) != bodyCRC {
-			return nil, fmt.Errorf("%w: delta frame body does not match its CRC32", ckpt.ErrChecksum)
-		}
-		if linkCRC != c.LastCRC {
-			return nil, fmt.Errorf("%w: delta frame links to a different predecessor (chain spliced?)", ckpt.ErrChecksum)
-		}
-		d, err := decodeDeltaBody(body, &ck.State)
-		if err != nil {
-			return nil, err
-		}
-		if err := ApplyDelta(ck, d); err != nil {
-			return nil, err
-		}
-		c.LastCRC = bodyCRC
-		c.Deltas++
-		tail = rest[bodyLen:]
+	if c.Checkpoint == nil {
+		return nil, fmt.Errorf("%w: base frame extends past end of file", ckpt.ErrTruncated)
 	}
-	c.DeltaBytes = len(data) - len(tail) - c.BaseBytes
-	c.Torn = len(tail) > 0
+	c.DeltaBytes = int(end) - c.BaseBytes
+	c.Torn = torn
 	return c, nil
-}
-
-// splitFrameBody parses "uvarint(len) | crc 4B | body" and returns the
-// body and whatever follows it. ok is false when the declared body (or
-// the header itself) extends past the end of the data.
-func splitFrameBody(data []byte) (body, tail []byte, ok bool) {
-	bodyLen, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, nil, false
-	}
-	rest := data[n:]
-	if len(rest) < 4 {
-		return nil, nil, false
-	}
-	rest = rest[4:]
-	if uint64(len(rest)) < bodyLen {
-		return nil, nil, false
-	}
-	return rest[:bodyLen], rest[bodyLen:], true
-}
-
-// tailCRC returns the 4 CRC bytes of a frame's header (after the
-// length varint). Callers have already validated the layout via
-// splitFrameBody.
-func tailCRC(data []byte) []byte {
-	_, n := binary.Uvarint(data)
-	return data[n : n+4]
 }

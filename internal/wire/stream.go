@@ -1,8 +1,8 @@
-// waggle-stream/v1: an append-only movement/event stream sharing the
-// §5g frame discipline of the checkpoint chain — per-record magic +
-// uvarint body length + CRC32 over the body, a torn trailing record
-// tolerated on read, fsyncs batched on write — but tuned for tailing
-// rather than folding:
+// waggle-stream/v1: an append-only movement/event stream in the log.go
+// frame discipline it shares with the checkpoint chain — per-record
+// magic + uvarint body length + CRC32 over the body, a torn trailing
+// record tolerated on read, fsyncs batched on write — but tuned for
+// tailing rather than folding:
 //
 //   - every record is self-delimiting and written with a single
 //     write(2), so a concurrent reader (or a reader after kill -9)
@@ -32,11 +32,8 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -47,7 +44,10 @@ import (
 // StreamSchema is the version tag written in every stream header.
 const StreamSchema = "waggle-stream/v1"
 
-var magicStream = []byte("WST1")
+var magicStream = Magic{Tag: "WST1"}
+
+// streamMagics is the one frame kind a stream file holds.
+var streamMagics = []Magic{magicStream}
 
 // Record kinds, on the wire as the first body byte and decoded to the
 // Stream* name constants below.
@@ -127,12 +127,9 @@ type StreamRecord struct {
 // goroutine. The writer mirrors the swarm's positions so move records
 // can be delta coded and keyframes need no caller-side copy.
 type StreamWriter struct {
-	f            *os.File
+	log          *Log
 	n            int
 	cadence      int
-	syncEvery    int
-	sinceSync    int
-	offset       int64
 	mirror       []ckpt.XY
 	needKeyframe bool
 }
@@ -155,31 +152,16 @@ func OpenStream(path string, n, cadence, syncEvery int) (*StreamWriter, error) {
 	if syncEvery <= 0 {
 		syncEvery = DefaultStreamSyncEvery
 	}
-	sw := &StreamWriter{n: n, cadence: cadence, syncEvery: syncEvery, needKeyframe: true}
-
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("wire: open stream: %w", err)
 	}
-	if len(data) == 0 {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("wire: create stream: %w", err)
-		}
-		sw.f = f
-		if err := sw.writeHeader(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return sw, nil
-	}
-
 	d := &streamDecoder{}
-	end, _, err := scanStream(data, func(off, next int64, kind byte, body []byte) error {
-		if off != 0 {
+	end, _, err := ScanLog(data, streamMagics, func(f Frame) error {
+		if f.Off != 0 {
 			return nil
 		}
-		rec, err := d.decode(kind, body, off, next)
+		rec, err := d.decode(f)
 		if err != nil {
 			return err
 		}
@@ -194,26 +176,15 @@ func OpenStream(path string, n, cadence, syncEvery int) (*StreamWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: open stream %s: %w", path, err)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	log, err := OpenLog(path, end, syncEvery)
 	if err != nil {
-		return nil, fmt.Errorf("wire: open stream: %w", err)
+		return nil, err
 	}
-	if int64(len(data)) != end {
-		if err := f.Truncate(end); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wire: truncate torn stream tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wire: open stream: %w", err)
-	}
-	sw.f = f
-	sw.offset = end
+	sw := &StreamWriter{log: log, n: n, cadence: cadence, needKeyframe: true}
 	if end == 0 {
-		// The whole file was one torn record: rewrite the header.
+		// A new file, or one whose only record was torn: write the header.
 		if err := sw.writeHeader(); err != nil {
-			f.Close()
+			log.Close()
 			return nil, err
 		}
 	}
@@ -230,32 +201,15 @@ func (sw *StreamWriter) writeHeader() error {
 }
 
 // Offset reports the byte offset past the last appended record.
-func (sw *StreamWriter) Offset() int64 { return sw.offset }
+func (sw *StreamWriter) Offset() int64 { return sw.log.Offset() }
 
 // Cadence reports the keyframe cadence the header advertises.
 func (sw *StreamWriter) Cadence() int { return sw.cadence }
 
-// appendRecord frames and appends one record body with a single
-// write(2): a tailing reader or a post-crash scan never sees an
-// interleaved record, only a clean prefix plus at most one torn tail.
+// appendRecord frames and appends one record body.
 func (sw *StreamWriter) appendRecord(body []byte) error {
-	frame := make([]byte, 0, len(magicStream)+binary.MaxVarintLen64+4+len(body))
-	frame = append(frame, magicStream...)
-	frame = binary.AppendUvarint(frame, uint64(len(body)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
-	frame = append(frame, body...)
-	if _, err := sw.f.Write(frame); err != nil {
-		return fmt.Errorf("wire: stream append: %w", err)
-	}
-	sw.offset += int64(len(frame))
-	sw.sinceSync++
-	if sw.sinceSync >= sw.syncEvery {
-		sw.sinceSync = 0
-		if err := sw.f.Sync(); err != nil {
-			return fmt.Errorf("wire: stream sync: %w", err)
-		}
-	}
-	return nil
+	frame, _ := EncodeFrame(magicStream, 0, body)
+	return sw.log.Append(frame)
 }
 
 // AppendKeyframe writes a self-contained state record: the position
@@ -327,30 +281,10 @@ func (sw *StreamWriter) AppendEvents(t int, moves []StreamMove, deliveries []ckp
 }
 
 // Sync forces the batched fsync.
-func (sw *StreamWriter) Sync() error {
-	sw.sinceSync = 0
-	if err := sw.f.Sync(); err != nil {
-		return fmt.Errorf("wire: stream sync: %w", err)
-	}
-	return nil
-}
+func (sw *StreamWriter) Sync() error { return sw.log.Sync() }
 
 // Close syncs and closes the file.
-func (sw *StreamWriter) Close() error {
-	if sw.f == nil {
-		return nil
-	}
-	serr := sw.f.Sync()
-	cerr := sw.f.Close()
-	sw.f = nil
-	if serr != nil {
-		return fmt.Errorf("wire: stream close: %w", serr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("wire: stream close: %w", cerr)
-	}
-	return nil
-}
+func (sw *StreamWriter) Close() error { return sw.log.Close() }
 
 func fixedOK(c float64) bool {
 	const limit = 1 << 62
@@ -428,10 +362,10 @@ type streamDecoder struct {
 	pos       []ckpt.XY
 }
 
-func (d *streamDecoder) decode(kind byte, body []byte, off, next int64) (StreamRecord, error) {
-	rec := StreamRecord{Offset: off, Next: next}
-	r := &reader{buf: body}
-	r.byte() // kind, already split out by the frame scan
+func (d *streamDecoder) decode(f Frame) (StreamRecord, error) {
+	rec := StreamRecord{Offset: f.Off, Next: f.Next}
+	r := &reader{buf: f.Body}
+	kind := r.byte() // ScanLog never yields an empty body
 	switch kind {
 	case streamKindHeader:
 		rec.Kind = StreamHeader
@@ -572,68 +506,6 @@ func decodeStreamEvents(r *reader) []StreamEvent {
 	return out
 }
 
-// scanStream walks the frames of data from the start, calling fn (when
-// non-nil) for each complete CRC-valid record. It stops cleanly at a
-// torn trailing record — a magic prefix, a cut length, a cut CRC, or a
-// cut body at end of file — reporting the offset of the clean end and
-// torn=true. Corruption that cannot be a crash artifact (wrong magic
-// bytes, a CRC mismatch on a complete record) is an error: a torn tail
-// from a single-writer append can only ever be a prefix of a valid
-// frame.
-func scanStream(data []byte, fn func(off, next int64, kind byte, body []byte) error) (end int64, torn bool, err error) {
-	off := int64(0)
-	for off < int64(len(data)) {
-		rest := data[off:]
-		if len(rest) < len(magicStream) {
-			if string(rest) == string(magicStream[:len(rest)]) {
-				return off, true, nil
-			}
-			return off, false, fmt.Errorf("%w: bad stream magic at offset %d", ckpt.ErrSchema, off)
-		}
-		if string(rest[:len(magicStream)]) != string(magicStream) {
-			return off, false, fmt.Errorf("%w: bad stream magic at offset %d", ckpt.ErrSchema, off)
-		}
-		hdr := rest[len(magicStream):]
-		bodyLen, un := binary.Uvarint(hdr)
-		if un == 0 {
-			return off, true, nil // torn mid-length
-		}
-		if un < 0 {
-			return off, false, fmt.Errorf("%w: malformed stream record length at offset %d", ckpt.ErrTruncated, off)
-		}
-		hdr = hdr[un:]
-		if len(hdr) < 4 {
-			return off, true, nil // torn mid-CRC
-		}
-		crc := binary.LittleEndian.Uint32(hdr[:4])
-		hdr = hdr[4:]
-		if uint64(len(hdr)) < bodyLen {
-			return off, true, nil // torn mid-body
-		}
-		body := hdr[:bodyLen]
-		if crc32.ChecksumIEEE(body) != crc {
-			return off, false, fmt.Errorf("%w: stream record at offset %d does not match its CRC32", ckpt.ErrChecksum, off)
-		}
-		if len(body) == 0 {
-			return off, false, fmt.Errorf("%w: empty stream record at offset %d", ckpt.ErrTruncated, off)
-		}
-		next := off + int64(len(magicStream)+un+4) + int64(bodyLen)
-		if fn != nil {
-			if err := fn(off, next, body[0], body); err != nil {
-				return off, false, err
-			}
-		}
-		off = next
-	}
-	return off, false, nil
-}
-
-type streamFrame struct {
-	off, next int64
-	kind      byte
-	body      []byte
-}
-
 // TailStream decodes records from data starting at a byte offset,
 // which must be a record boundary (a Next reported by an earlier call,
 // or 0). offset < 0 means "join live": start at the latest keyframe,
@@ -644,9 +516,9 @@ type streamFrame struct {
 // to continue the tail; torn reports a crash-cut trailing record (only
 // meaningful when the returned records reach the end of data).
 func TailStream(data []byte, offset int64, max int) (recs []StreamRecord, next int64, torn bool, err error) {
-	var frames []streamFrame
-	end, torn, err := scanStream(data, func(off, next int64, kind byte, body []byte) error {
-		frames = append(frames, streamFrame{off: off, next: next, kind: kind, body: body})
+	var frames []Frame
+	end, torn, err := ScanLog(data, streamMagics, func(f Frame) error {
+		frames = append(frames, f)
 		return nil
 	})
 	if err != nil {
@@ -656,8 +528,8 @@ func TailStream(data []byte, offset int64, max int) (recs []StreamRecord, next i
 	if start < 0 {
 		start = end
 		for i := len(frames) - 1; i >= 0; i-- {
-			if frames[i].kind == streamKindKeyframe {
-				start = frames[i].off
+			if frames[i].Body[0] == streamKindKeyframe {
+				start = frames[i].Off
 				break
 			}
 		}
@@ -669,7 +541,7 @@ func TailStream(data []byte, offset int64, max int) (recs []StreamRecord, next i
 	}
 	si := -1
 	for i := range frames {
-		if frames[i].off == start {
+		if frames[i].Off == start {
 			si = i
 			break
 		}
@@ -678,39 +550,31 @@ func TailStream(data []byte, offset int64, max int) (recs []StreamRecord, next i
 		return nil, 0, false, fmt.Errorf("wire: stream offset %d is not a record boundary", start)
 	}
 
+	// Seed the decoder silently from the header (always frame 0) and
+	// the latest keyframe strictly before the start, then emit.
 	d := &streamDecoder{}
-	// Seed: the header is always frame 0; then roll forward silently
-	// from the latest keyframe strictly before the start.
-	silentFrom := si
+	from := si
 	if si > 0 {
-		if _, err := d.decode(frames[0].kind, frames[0].body, frames[0].off, frames[0].next); err != nil {
+		if _, err := d.decode(frames[0]); err != nil {
 			return nil, 0, false, err
 		}
-		silentFrom = 1
-		for i := si - 1; i >= 1; i-- {
-			if frames[i].kind == streamKindKeyframe {
-				silentFrom = i
-				break
-			}
-		}
-		for i := silentFrom; i < si; i++ {
-			if _, err := d.decode(frames[i].kind, frames[i].body, frames[i].off, frames[i].next); err != nil {
-				return nil, 0, false, err
-			}
+		for from = si - 1; from > 1 && frames[from].Body[0] != streamKindKeyframe; from-- {
 		}
 	}
 	next = start
-	for i := si; i < len(frames); i++ {
+	for i := from; i < len(frames); i++ {
 		if max > 0 && len(recs) >= max {
 			torn = false // more complete records remain past the cap
 			break
 		}
-		rec, err := d.decode(frames[i].kind, frames[i].body, frames[i].off, frames[i].next)
+		rec, err := d.decode(frames[i])
 		if err != nil {
 			return nil, 0, false, err
 		}
-		recs = append(recs, rec)
-		next = rec.Next
+		if i >= si {
+			recs = append(recs, rec)
+			next = rec.Next
+		}
 	}
 	return recs, next, torn, nil
 }

@@ -43,8 +43,8 @@ const CodecName = "binary"
 // incompatible future layout gets a new magic and old readers fail
 // with ErrSchema instead of misparsing.
 var (
-	magicBase  = []byte("WCK2")
-	magicDelta = []byte("WCD2")
+	magicBase  = Magic{Tag: "WCK2"}
+	magicDelta = Magic{Tag: "WCD2", Linked: true}
 )
 
 // fixedShift is the fixed-point probe resolution: a configuration whose
@@ -65,7 +65,7 @@ func init() {
 
 // Detect reports whether data starts with a v2 base frame.
 func Detect(data []byte) bool {
-	return len(data) >= len(magicBase) && string(data[:len(magicBase)]) == string(magicBase)
+	return len(data) >= magicLen && string(data[:magicLen]) == magicBase.Tag
 }
 
 // Encode serializes a checkpoint as a single v2 base frame.

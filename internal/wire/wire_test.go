@@ -510,7 +510,7 @@ func TestEncodeAs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(bin, []byte(magicBase)) {
+	if !bytes.HasPrefix(bin, []byte(magicBase.Tag)) {
 		t.Fatalf("EncodeAs(%q) did not produce a binary frame", CodecName)
 	}
 	if _, err := ckpt.EncodeAs(ck, "no-such-codec"); err == nil {
