@@ -72,14 +72,17 @@ chaos-check:
 	$(GO) run ./cmd/waggle-chaos -scenario combined -engine parallel
 
 # Record-replay gate: the committed golden checkpoint must restore,
-# replay, and reproduce the committed movement trace byte-for-byte, and
-# every chaos scenario must survive a mid-plan kill-and-resume.
+# replay, and reproduce the committed movement trace byte-for-byte;
+# every chaos scenario must survive a mid-plan kill-and-resume (restored
+# from its delta chain, with the JSON dump and a v2 snapshot of the kill
+# instant reading back equal to it); and the JSON dump of the binary
+# golden checkpoint must be the committed v1 golden, byte for byte.
 # Regenerate the artifacts (only for intentional protocol changes) with
 # `go test -run TestGoldenReplay -update-golden .`.
 replay-check:
 	$(GO) test -run TestGoldenReplay -count=1 .
 	$(GO) run ./cmd/waggle-chaos -resume-check -scenario combined
-	$(GO) run ./cmd/waggle-chaos -resume-check -scenario combined -ckpt-codec delta
+	$(GO) run ./cmd/waggle-sim -dump-checkpoint testdata/golden.ckptb | cmp - testdata/golden.ckpt
 
 # Observability smoke: run a short instrumented sim, validate that the
 # Prometheus text exposition parses and the JSON snapshot round-trips
@@ -145,12 +148,16 @@ perfbench-check:
 
 # Fuzz smoke: a few seconds each on the shared byte boundaries — the
 # checkpoint decoder, the append-only frame scanner every log shares
-# (wire/log.go), and the stream tail spectate feeds client offsets into.
+# (wire/log.go), the stream tail spectate feeds client offsets into,
+# the one checkpoint loader entry (v1 and v2), and the Retry-After
+# parser clients feed server headers into.
 # `go test -fuzz` takes one target per call.
 fuzz-check:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzScanLog$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzTailStream$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 5s .
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 5s ./internal/retry
 
 # Known-vulnerability scan, skipped gracefully when govulncheck is not
 # installed or its database is unreachable (offline CI).

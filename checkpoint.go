@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 
 	"waggle/internal/ckpt"
@@ -17,10 +18,11 @@ import (
 	"waggle/internal/wire"
 )
 
-// Checkpoint is a versioned (schema "waggle-ckpt/v1"), resumable image
-// of a run: the swarm's construction recipe, the ordered log of every
-// state-mutating API call since construction, and a schema-stable
-// snapshot of the externally observable state at capture time.
+// Checkpoint is a versioned, resumable image of a run (saved as
+// "waggle-ckpt/v2", dumped as "waggle-ckpt/v1" JSON): the swarm's
+// construction recipe, the ordered log of every state-mutating API
+// call since construction, and a schema-stable snapshot of the
+// externally observable state at capture time.
 //
 // Restore rebuilds the swarm from the recipe and replays the log — the
 // execution is deterministic, so the replay reproduces every private
@@ -53,43 +55,68 @@ var (
 )
 
 // SaveCheckpoint writes ck to path atomically (temp file + fsync +
-// rename + directory fsync), in the versioned, CRC32-checksummed
-// format of the chosen codec: the JSON envelope by default, the
-// compact binary format with CodecBinary. CodecDelta is meaningful
-// only for a periodic writer (Swarm.NewCheckpointWriter); for a
-// single-shot save it degrades to a binary base snapshot.
-func SaveCheckpoint(path string, ck *Checkpoint, codec ...CheckpointCodec) error {
-	c := CodecJSON
-	switch len(codec) {
-	case 0:
-	case 1:
-		c = codec[0]
-	default:
-		return fmt.Errorf("waggle: SaveCheckpoint takes at most one codec, got %d", len(codec))
+// rename + directory fsync) as one "waggle-ckpt/v2" base frame — the
+// compact, CRC32-checksummed binary format every checkpoint save
+// writes. A periodic saver wants Swarm.NewCheckpointWriter instead,
+// which appends delta frames to that base.
+func SaveCheckpoint(path string, ck *Checkpoint) error {
+	data, err := wire.Encode(ck)
+	if err != nil {
+		return err
 	}
-	switch c {
-	case CodecJSON:
-		return ckpt.SaveFile(path, ck)
-	case CodecBinary, CodecDelta:
-		return ckpt.SaveFile(path, ck, wire.CodecName)
-	default:
-		return fmt.Errorf("waggle: unknown checkpoint codec %d", int(c))
-	}
+	return ckpt.WriteFileAtomic(path, data)
 }
 
-// LoadCheckpoint reads and validates the checkpoint at path,
-// auto-detecting the format (JSON envelope, binary, or binary
-// base+delta chain — chains are folded into one checkpoint). Failure
-// modes are typed: ErrCheckpointSchema, ErrCheckpointChecksum,
-// ErrCheckpointTruncated.
-func LoadCheckpoint(path string) (*Checkpoint, error) { return ckpt.LoadFile(path) }
+// LoadCheckpoint reads and validates the checkpoint at path: a v2
+// base snapshot or base+delta chain (folded into one checkpoint), or a
+// v1 JSON envelope. Failure modes are typed: ErrCheckpointSchema,
+// ErrCheckpointChecksum, ErrCheckpointTruncated.
+func LoadCheckpoint(path string) (*Checkpoint, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: read %s: %w", path, err)
+	}
+	ck, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return ck, nil
+}
 
-// WriteCheckpoint writes ck to w (non-atomic; SaveCheckpoint is the
-// crash-safe file variant).
-func WriteCheckpoint(w io.Writer, ck *Checkpoint) error { return ckpt.Save(w, ck) }
+// WriteCheckpoint dumps ck to w as the human-readable "waggle-ckpt/v1"
+// JSON envelope: the debugging view of any checkpoint, which
+// ReadCheckpoint and LoadCheckpoint read back. It is not crash-safe
+// and not what saves write; SaveCheckpoint is.
+func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
+	data, err := ckpt.Encode(ck)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(data); err != nil {
+		return fmt.Errorf("ckpt: write: %w", err)
+	}
+	return nil
+}
 
-// ReadCheckpoint reads and validates a checkpoint from r.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) { return ckpt.Load(r) }
+// ReadCheckpoint reads and validates a checkpoint in any format
+// LoadCheckpoint accepts from r.
+func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: read: %w", err)
+	}
+	return decodeCheckpoint(data)
+}
+
+// decodeCheckpoint is the one place that decides which format bytes
+// are in: anything starting with the v2 base magic goes to the binary
+// chain reader, everything else to the v1 envelope reader.
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
+	if wire.Detect(data) {
+		return wire.Decode(data)
+	}
+	return ckpt.Decode(data)
+}
 
 // Checkpoint captures a resumable image of the swarm — and of its
 // coupled Radio and BackupMessenger, if any — at the current instant.

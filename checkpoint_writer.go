@@ -10,51 +10,18 @@ import (
 	"waggle/internal/wire"
 )
 
-// CheckpointCodec selects how checkpoints are serialized. The zero
-// value is the JSON envelope, so existing callers are unchanged.
+// CheckpointCodec names the checkpoint write format. There is one:
+// every save writes "waggle-ckpt/v2", and a CheckpointWriter always
+// keeps a base+delta chain. The type and its single constant remain
+// only so callers written against the old codec choice — the perfbench
+// harness passes CodecDelta to NewCheckpointWriter — keep compiling;
+// the argument is accepted and ignored.
 type CheckpointCodec int
 
-const (
-	// CodecJSON is the human-readable "waggle-ckpt/v1" envelope — the
-	// debugging and backward-compatibility format.
-	CodecJSON CheckpointCodec = iota
-	// CodecBinary is the compact "waggle-ckpt/v2" binary format: full
-	// snapshots an order of magnitude smaller than JSON.
-	CodecBinary
-	// CodecDelta is binary plus delta chains: a periodic writer appends
-	// per-interval deltas (only the robots whose state changed) to a
-	// binary base snapshot, rebasing when the chain grows long or the
-	// world churns. Single-shot saves degrade to CodecBinary.
-	CodecDelta
-)
+// CodecDelta is the v2 base+delta chain every CheckpointWriter writes.
+const CodecDelta CheckpointCodec = 0
 
-// String returns the codec's CLI name ("json", "binary", "delta").
-func (c CheckpointCodec) String() string {
-	switch c {
-	case CodecJSON:
-		return "json"
-	case CodecBinary:
-		return "binary"
-	case CodecDelta:
-		return "delta"
-	}
-	return fmt.Sprintf("CheckpointCodec(%d)", int(c))
-}
-
-// ParseCheckpointCodec maps a CLI name to its codec.
-func ParseCheckpointCodec(name string) (CheckpointCodec, error) {
-	switch name {
-	case "", "json":
-		return CodecJSON, nil
-	case "binary":
-		return CodecBinary, nil
-	case "delta":
-		return CodecDelta, nil
-	}
-	return 0, fmt.Errorf("waggle: unknown checkpoint codec %q (want json, binary, or delta)", name)
-}
-
-// Rebase thresholds for CodecDelta. A new base is written once the
+// Rebase thresholds for the delta chain. A new base is written once the
 // delta bytes since the base, plus the next frame, would exceed the
 // base frame's bytes — past that point the chain costs more to read and
 // fold than a rewrite would — but never on bytes while the deltas fit
@@ -78,32 +45,29 @@ const (
 const endpointSweepMax = 4096
 
 // CheckpointWriter saves a swarm's state to one path repeatedly, as a
-// simulation driver's periodic checkpointer. For CodecJSON and
-// CodecBinary every Save atomically rewrites the file with a full
-// snapshot. For CodecDelta the first Save writes a binary base snapshot
-// and subsequent Saves append a delta frame recording only what changed
-// since the previous Save — at large n with sparse activation that is
-// microseconds and a few hundred bytes instead of an O(n) rewrite. A
-// new base is written when the chain reaches maxChainLen deltas or when
-// the delta bytes since the base, plus the new frame, would exceed the
-// base frame's bytes (and rebaseMinBytes; see the thresholds above).
-// The file is readable by LoadCheckpoint at every moment: after a base,
-// after any delta, and (thanks to the append being a single write and
-// torn trailing frames being dropped on load) even after a crash
-// mid-append.
+// simulation driver's periodic checkpointer. The first Save writes a
+// v2 base snapshot and subsequent Saves append a delta frame recording
+// only what changed since the previous Save — at large n with sparse
+// activation that is microseconds and a few hundred bytes instead of
+// an O(n) rewrite. A new base is written when the chain reaches
+// maxChainLen deltas or when the delta bytes since the base, plus the
+// new frame, would exceed the base frame's bytes (and rebaseMinBytes;
+// see the thresholds above). The file is readable by LoadCheckpoint at
+// every moment: after a base, after any delta, and (thanks to the
+// append being a single write and torn trailing frames being dropped
+// on load) even after a crash mid-append.
 //
-// A CodecDelta writer created over an existing v2 chain that folds to
-// exactly the swarm's current Checkpoint — the swarm was just restored
-// from that file — adopts the chain instead of starting over: its
-// first Save appends a delta, so resuming an evicted session costs a
-// delta append rather than a full base rewrite. A torn trailing frame
-// is truncated away before that first append. Any other file (absent,
-// unreadable, another codec, or a different state) is left alone until
-// the first Save replaces it with a base.
+// A writer created over an existing v2 chain that folds to exactly the
+// swarm's current Checkpoint — the swarm was just restored from that
+// file — adopts the chain instead of starting over: its first Save
+// appends a delta, so resuming an evicted session costs a delta append
+// rather than a full base rewrite. A torn trailing frame is truncated
+// away before that first append. Any other file (absent, unreadable,
+// a v1 dump, or a different state) is left alone until the first Save
+// replaces it with a base.
 type CheckpointWriter struct {
-	s     *Swarm
-	path  string
-	codec CheckpointCodec
+	s    *Swarm
+	path string
 
 	// Delta-chain state: the folded image of what the file holds, the
 	// body CRC of its last frame, the chain length, the base frame's
@@ -124,32 +88,19 @@ type CheckpointWriter struct {
 }
 
 // NewCheckpointWriter returns a periodic checkpointer for the swarm,
-// writing to path. With no explicit codec it uses the swarm's
-// WithCheckpointCodec preference (default CodecJSON). CodecDelta
-// enables position-touch tracking on the world, so the writer should be
-// created before the run it will checkpoint, and adopts an existing
-// chain at path that matches the swarm (see CheckpointWriter).
-func (s *Swarm) NewCheckpointWriter(path string, codec ...CheckpointCodec) (*CheckpointWriter, error) {
-	c := s.opts.ckptCodec
-	switch len(codec) {
-	case 0:
-	case 1:
-		c = codec[0]
-	default:
-		return nil, fmt.Errorf("waggle: NewCheckpointWriter takes at most one codec, got %d", len(codec))
+// writing to path. It enables position-touch tracking on the world, so
+// the writer should be created before the run it will checkpoint, and
+// adopts an existing chain at path that matches the swarm (see
+// CheckpointWriter). A codec argument is ignored (see CheckpointCodec).
+func (s *Swarm) NewCheckpointWriter(path string, _ ...CheckpointCodec) (*CheckpointWriter, error) {
+	s.net.World().EnableTouchTracking()
+	cw := &CheckpointWriter{
+		s:        s,
+		path:     path,
+		sweepEps: s.messenger != nil || s.opts.stabilizeEpoch > 0 || s.n <= endpointSweepMax,
 	}
-	switch c {
-	case CodecJSON, CodecBinary, CodecDelta:
-	default:
-		return nil, fmt.Errorf("waggle: unknown checkpoint codec %d", int(c))
-	}
-	cw := &CheckpointWriter{s: s, path: path, codec: c}
-	if c == CodecDelta {
-		s.net.World().EnableTouchTracking()
-		cw.sweepEps = s.messenger != nil || s.opts.stabilizeEpoch > 0 || s.n <= endpointSweepMax
-		if err := cw.adoptChain(); err != nil {
-			return nil, err
-		}
+	if err := cw.adoptChain(); err != nil {
+		return nil, err
 	}
 	return cw, nil
 }
@@ -184,14 +135,11 @@ func (cw *CheckpointWriter) adoptChain() error {
 	return nil
 }
 
-// Codec returns the writer's serialization format.
-func (cw *CheckpointWriter) Codec() CheckpointCodec { return cw.codec }
-
 // Path returns the file the writer saves to.
 func (cw *CheckpointWriter) Path() string { return cw.path }
 
 // ChainLen returns how many delta frames follow the current base (0
-// right after a base save, and always 0 for non-delta codecs).
+// right after a base save).
 func (cw *CheckpointWriter) ChainLen() int { return cw.chainLen }
 
 // LastSaveBytes returns how many bytes the most recent Save wrote: the
@@ -204,18 +152,6 @@ func (cw *CheckpointWriter) LastSaveWasDelta() bool { return cw.lastDelta }
 
 // Save checkpoints the swarm's current state to the writer's path.
 func (cw *CheckpointWriter) Save() error {
-	if cw.codec != CodecDelta {
-		ck, err := cw.s.Checkpoint()
-		if err != nil {
-			return err
-		}
-		if err := SaveCheckpoint(cw.path, ck, cw.codec); err != nil {
-			return err
-		}
-		cw.lastBytes = cw.fileSize()
-		cw.lastDelta = false
-		return nil
-	}
 	if cw.mirror == nil || cw.configDrifted() || cw.chainLen >= maxChainLen {
 		return cw.saveBase()
 	}
@@ -414,16 +350,6 @@ func (cw *CheckpointWriter) captureDelta() (*wire.Delta, error) {
 		return nil, err
 	}
 	return d, nil
-}
-
-// fileSize returns the current size of the writer's file (0 on error;
-// informational only).
-func (cw *CheckpointWriter) fileSize() int {
-	fi, err := os.Stat(cw.path)
-	if err != nil {
-		return 0
-	}
-	return int(fi.Size())
 }
 
 // appendDelta appends one delta frame at the chain's clean end with a

@@ -1,6 +1,7 @@
 package waggle
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,15 +9,15 @@ import (
 )
 
 // chainSession builds the shape a waggle-serve session has — four
-// robots, trace and observer on — with a CodecDelta writer at path that
+// robots, trace and observer on — with a checkpoint writer at path that
 // has saved a base and a few deltas.
-func chainSession(t *testing.T, path string) (*Swarm, *CheckpointWriter) {
+func chainSession(t testing.TB, path string) (*Swarm, *CheckpointWriter) {
 	t.Helper()
 	s, err := NewSwarm(ckptTestPositions(), ckptTestOptions(EngineSequential)...)
 	if err != nil {
 		t.Fatalf("NewSwarm: %v", err)
 	}
-	cw, err := s.NewCheckpointWriter(path, CodecDelta)
+	cw, err := s.NewCheckpointWriter(path)
 	if err != nil {
 		t.Fatalf("writer: %v", err)
 	}
@@ -29,7 +30,7 @@ func chainSession(t *testing.T, path string) (*Swarm, *CheckpointWriter) {
 
 // chainOps runs `saves` rounds of a send plus 20 instants, saving after
 // each round, and requires every save to append a delta.
-func chainOps(t *testing.T, s *Swarm, cw *CheckpointWriter, saves int) {
+func chainOps(t testing.TB, s *Swarm, cw *CheckpointWriter, saves int) {
 	t.Helper()
 	for i := 0; i < saves; i++ {
 		if err := s.Send(i%4, (i+1)%4, []byte{byte(i)}); err != nil {
@@ -50,7 +51,7 @@ func chainOps(t *testing.T, s *Swarm, cw *CheckpointWriter, saves int) {
 }
 
 // resumeFrom does what waggle-serve does to an evicted session: load
-// the chain, restore it, and build a fresh CodecDelta writer over it.
+// the chain, restore it, and build a fresh writer over it.
 func resumeFrom(t *testing.T, path string) (*Swarm, *CheckpointWriter) {
 	t.Helper()
 	ck, err := LoadCheckpoint(path)
@@ -61,7 +62,7 @@ func resumeFrom(t *testing.T, path string) (*Swarm, *CheckpointWriter) {
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	cw, err := res.Swarm.NewCheckpointWriter(path, CodecDelta)
+	cw, err := res.Swarm.NewCheckpointWriter(path)
 	if err != nil {
 		t.Fatalf("writer: %v", err)
 	}
@@ -162,7 +163,7 @@ func TestWriterDoesNotAdoptForeignChain(t *testing.T) {
 		if err := res.Swarm.Step(); err != nil {
 			t.Fatal(err)
 		}
-		cw, err := res.Swarm.NewCheckpointWriter(path, CodecDelta)
+		cw, err := res.Swarm.NewCheckpointWriter(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,10 +188,14 @@ func TestWriterDoesNotAdoptForeignChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := SaveCheckpoint(path, ck, CodecJSON); err != nil {
+		var dump bytes.Buffer
+		if err := WriteCheckpoint(&dump, ck); err != nil {
 			t.Fatal(err)
 		}
-		cw, err := s.NewCheckpointWriter(path, CodecDelta)
+		if err := os.WriteFile(path, dump.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cw, err := s.NewCheckpointWriter(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +203,7 @@ func TestWriterDoesNotAdoptForeignChain(t *testing.T) {
 			t.Fatal(err)
 		}
 		if cw.LastSaveWasDelta() {
-			t.Fatal("first save over a JSON checkpoint appended a delta")
+			t.Fatal("first save over a JSON dump appended a delta")
 		}
 		requireFoldsTo(t, path, s)
 	})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"waggle"
+	"waggle/internal/ckpt"
 )
 
 // ckptSchema identifies the BENCH_ckpt.json layout.
@@ -91,18 +92,42 @@ func mutate(s *waggle.Swarm, interval int) error {
 	return nil
 }
 
-// measureFull times full-snapshot saves and restores for json or
-// binary through the same writer the CLI uses.
-func measureFull(s *waggle.Swarm, n int, codec waggle.CheckpointCodec, iters int, dir string) (CkptResult, error) {
+// fullSaves are the full-snapshot rows, each one save of the swarm's
+// whole state to path. "json" is the v1 reference encoder behind a
+// capture and an atomic write: not a save path, but the yardstick the
+// binary row's size and speed are measured against. "binary" is
+// SaveCheckpoint.
+var fullSaves = []struct {
+	codec string
+	save  func(s *waggle.Swarm, path string) error
+}{
+	{"json", func(s *waggle.Swarm, path string) error {
+		ck, err := s.Checkpoint()
+		if err != nil {
+			return err
+		}
+		data, err := ckpt.Encode(ck)
+		if err != nil {
+			return err
+		}
+		return ckpt.WriteFileAtomic(path, data)
+	}},
+	{"binary", func(s *waggle.Swarm, path string) error {
+		ck, err := s.Checkpoint()
+		if err != nil {
+			return err
+		}
+		return waggle.SaveCheckpoint(path, ck)
+	}},
+}
+
+// measureFull times one full-snapshot row's saves and restores.
+func measureFull(s *waggle.Swarm, n int, codec string, save func(*waggle.Swarm, string) error, iters int, dir string) (CkptResult, error) {
 	path := filepath.Join(dir, fmt.Sprintf("ckpt-%d.%s", n, codec))
-	cw, err := s.NewCheckpointWriter(path, codec)
-	if err != nil {
-		return CkptResult{}, err
-	}
 	var saveNs int64
 	for i := 0; i < iters; i++ {
 		t0 := time.Now()
-		if err := cw.Save(); err != nil {
+		if err := save(s, path); err != nil {
 			return CkptResult{}, err
 		}
 		saveNs += time.Since(t0).Nanoseconds()
@@ -112,10 +137,10 @@ func measureFull(s *waggle.Swarm, n int, codec waggle.CheckpointCodec, iters int
 		return CkptResult{}, err
 	}
 	return CkptResult{
-		N: n, Codec: codec.String(), Iterations: iters,
+		N: n, Codec: codec, Iterations: iters,
 		SaveNs:    float64(saveNs) / float64(iters),
 		RestoreNs: restoreNs,
-		Bytes:     int64(cw.LastSaveBytes()),
+		Bytes:     fileBytes(path),
 		FileBytes: fileBytes(path),
 	}, nil
 }
@@ -125,7 +150,7 @@ func measureFull(s *waggle.Swarm, n int, codec waggle.CheckpointCodec, iters int
 // delta appends. The restore folds the whole chain.
 func measureDelta(s *waggle.Swarm, n, iters int, dir string) (CkptResult, error) {
 	path := filepath.Join(dir, fmt.Sprintf("ckpt-%d.delta", n))
-	cw, err := s.NewCheckpointWriter(path, waggle.CodecDelta)
+	cw, err := s.NewCheckpointWriter(path)
 	if err != nil {
 		return CkptResult{}, err
 	}
@@ -155,7 +180,7 @@ func measureDelta(s *waggle.Swarm, n, iters int, dir string) (CkptResult, error)
 		return CkptResult{}, err
 	}
 	return CkptResult{
-		N: n, Codec: waggle.CodecDelta.String(), Iterations: iters,
+		N: n, Codec: "delta", Iterations: iters,
 		SaveNs:    float64(saveNs) / float64(iters),
 		RestoreNs: restoreNs,
 		Bytes:     bytes / int64(iters),
@@ -229,10 +254,10 @@ func runCkpt(out string, smoke bool) error {
 			return fmt.Errorf("n=%d: build: %w", n, err)
 		}
 		var row [3]CkptResult
-		for i, codec := range []waggle.CheckpointCodec{waggle.CodecJSON, waggle.CodecBinary} {
-			res, err := measureFull(s, n, codec, iters, dir)
+		for i, f := range fullSaves {
+			res, err := measureFull(s, n, f.codec, f.save, iters, dir)
 			if err != nil {
-				return fmt.Errorf("n=%d %s: %w", n, codec, err)
+				return fmt.Errorf("n=%d %s: %w", n, f.codec, err)
 			}
 			row[i] = res
 		}

@@ -42,9 +42,8 @@ type config struct {
 	listen   string // -listen: introspection endpoint address
 	block    bool   // keep serving after the run until interrupted
 
-	resumeCheck bool   // -resume-check: verify kill-and-resume determinism and exit
-	killAt      int    // -kill-at: instant of the simulated death
-	ckptCodec   string // -ckpt-codec: serialization for the resume-check round trip
+	resumeCheck bool // -resume-check: verify kill-and-resume determinism and exit
+	killAt      int  // -kill-at: instant of the simulated death
 }
 
 func main() {
@@ -58,7 +57,6 @@ func main() {
 	flag.StringVar(&cfg.listen, "listen", "", "serve the observability endpoint (/metrics, /trace, pprof) on this address")
 	flag.BoolVar(&cfg.resumeCheck, "resume-check", false, "kill each scenario mid-plan, checkpoint, resume, and verify byte-identical traces; exit nonzero on divergence")
 	flag.IntVar(&cfg.killAt, "kill-at", 150, "instant of the simulated process death for -resume-check")
-	flag.StringVar(&cfg.ckptCodec, "ckpt-codec", "binary", "checkpoint serialization for -resume-check: json|binary|delta")
 	flag.Parse()
 	cfg.block = cfg.listen != ""
 	if err := run(cfg); err != nil {
@@ -118,14 +116,13 @@ func run(cfg config) error {
 }
 
 // resumeCheck runs each scenario twice — uninterrupted, and with a
-// simulated process death at -kill-at followed by a checkpoint restore
-// — and verifies the movement traces and reports are byte-identical.
+// simulated process death at -kill-at followed by a restore from the
+// run's checkpoint chain — and verifies the movement traces are
+// byte-identical. The resumed run also requires the JSON dump and a v2
+// snapshot of the kill-instant state to read back equal to the chain
+// (see sweep.RunChaosScenarioResumed).
 // One scenario can be selected with -scenario; the default sweeps all.
 func resumeCheck(cfg config, engine waggle.EngineMode) error {
-	codec, err := waggle.ParseCheckpointCodec(cfg.ckptCodec)
-	if err != nil {
-		return err
-	}
 	scenarios := sweep.ChaosScenarios(cfg.seed)
 	if cfg.scenario != "" {
 		sc, err := sweep.FindChaosScenario(cfg.scenario, cfg.seed)
@@ -143,15 +140,15 @@ func resumeCheck(cfg config, engine waggle.EngineMode) error {
 		if err != nil {
 			return err
 		}
-		got, err := sweep.RunChaosScenarioResumedCodec(sc, engine, killAt, codec)
+		got, err := sweep.RunChaosScenarioResumed(sc, engine, killAt)
 		if err != nil {
 			return err
 		}
 		if got.TraceCSV != want.TraceCSV {
-			return fmt.Errorf("resume-check %s: resumed trace diverges from the uninterrupted run (kill at t=%d, codec %s)", sc.Name, killAt, codec)
+			return fmt.Errorf("resume-check %s: resumed trace diverges from the uninterrupted run (kill at t=%d)", sc.Name, killAt)
 		}
-		fmt.Printf("resume-check ok: %-16s killed at t=%-5d codec=%-6s trace byte-identical (%d bytes)\n",
-			sc.Name, killAt, codec, len(want.TraceCSV))
+		fmt.Printf("resume-check ok: %-16s killed at t=%-5d trace byte-identical (%d bytes)\n",
+			sc.Name, killAt, len(want.TraceCSV))
 	}
 	return nil
 }

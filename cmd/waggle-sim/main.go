@@ -10,6 +10,7 @@
 //	waggle-sim -obs-check                 # validate the obs pipeline
 //	waggle-sim -checkpoint run.ckpt -checkpoint-every 5000
 //	waggle-sim -resume run.ckpt           # continue an interrupted run
+//	waggle-sim -dump-checkpoint run.ckpt  # print any checkpoint as v1 JSON
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -48,8 +50,8 @@ type config struct {
 
 	ckptPath  string // -checkpoint: write checkpoints to this file
 	ckptEvery int    // -checkpoint-every: save every N instants while waiting
-	ckptCodec string // -ckpt-codec: checkpoint serialization format
 	resume    string // -resume: continue a run from this checkpoint file
+	dumpCkpt  string // -dump-checkpoint: print this checkpoint as v1 JSON and exit
 
 	stream       string // -stream: record a waggle-stream/v1 movement stream
 	replayStream string // -replay-stream: verify and summarize a stream file
@@ -77,8 +79,8 @@ func main() {
 	flag.BoolVar(&cfg.obsCheck, "obs-check", false, "run a short instrumented sim, validate the metrics pipeline, and exit")
 	flag.StringVar(&cfg.ckptPath, "checkpoint", "", "write checkpoints to this file (atomic; see -checkpoint-every)")
 	flag.IntVar(&cfg.ckptEvery, "checkpoint-every", 0, "while waiting for delivery, save a checkpoint every N instants (requires -checkpoint)")
-	flag.StringVar(&cfg.ckptCodec, "ckpt-codec", "delta", "checkpoint serialization: json (debuggable v1 envelope), binary (compact v2), delta (binary base + per-save delta frames)")
 	flag.StringVar(&cfg.resume, "resume", "", "resume a run from this checkpoint file instead of starting fresh")
+	flag.StringVar(&cfg.dumpCkpt, "dump-checkpoint", "", "print this checkpoint file (any format) to stdout as the human-readable waggle-ckpt/v1 JSON envelope and exit")
 	flag.StringVar(&cfg.stream, "stream", "", "record a waggle-stream/v1 movement stream (appendable, spectatable, crash-tolerant) to this file")
 	flag.StringVar(&cfg.replayStream, "replay-stream", "", "replay and verify a waggle-stream/v1 file instead of running, printing its digests")
 	flag.BoolVar(&cfg.streamCheck, "stream-check", false, "validate the streaming pipeline (engine parity, mid-stream join, kill -9 torn-tail tolerance) and exit")
@@ -103,6 +105,9 @@ func run(cfg config) error {
 	}
 	if cfg.replayStream != "" {
 		return replayStream(cfg.replayStream)
+	}
+	if cfg.dumpCkpt != "" {
+		return dumpCheckpoint(os.Stdout, cfg.dumpCkpt)
 	}
 	if cfg.ckptEvery > 0 && cfg.ckptPath == "" {
 		return fmt.Errorf("-checkpoint-every requires -checkpoint")
@@ -169,6 +174,17 @@ func run(cfg config) error {
 	return finishRun(cfg, swarm, cfg.budget)
 }
 
+// dumpCheckpoint prints the checkpoint at path — a v2 snapshot or
+// chain, or a v1 file — as the v1 JSON envelope, which loads back as
+// the same checkpoint.
+func dumpCheckpoint(w io.Writer, path string) error {
+	ck, err := waggle.LoadCheckpoint(path)
+	if err != nil {
+		return err
+	}
+	return waggle.WriteCheckpoint(w, ck)
+}
+
 // runResumed continues a run from a checkpoint file: the pending send,
 // positions, clock, scheduler and RNG streams are all restored, so the
 // continuation is byte-identical to a run that was never interrupted.
@@ -210,15 +226,12 @@ func runResumed(cfg config) error {
 func finishRun(cfg config, swarm *waggle.Swarm, budget int) error {
 	var cw *waggle.CheckpointWriter
 	if cfg.ckptPath != "" {
-		codec, err := waggle.ParseCheckpointCodec(cfg.ckptCodec)
-		if err != nil {
-			return err
-		}
-		// One writer for the whole run: with the delta codec the periodic
-		// saves after the first append only what changed (and reuse the
-		// recorder's merged input log instead of re-encoding it), instead
-		// of rewriting the full snapshot every interval.
-		cw, err = swarm.NewCheckpointWriter(cfg.ckptPath, codec)
+		// One writer for the whole run: the periodic saves after the
+		// first append only what changed (and reuse the recorder's merged
+		// input log instead of re-encoding it), instead of rewriting the
+		// full snapshot every interval.
+		var err error
+		cw, err = swarm.NewCheckpointWriter(cfg.ckptPath)
 		if err != nil {
 			return err
 		}
@@ -240,7 +253,7 @@ func finishRun(cfg config, swarm *waggle.Swarm, budget int) error {
 			return err
 		}
 		if !cfg.quiet {
-			fmt.Printf("final checkpoint (t=%d, %s) written to %s\n", swarm.Time(), cw.Codec(), cfg.ckptPath)
+			fmt.Printf("final checkpoint (t=%d) written to %s\n", swarm.Time(), cfg.ckptPath)
 		}
 	}
 	if cfg.tracePath != "" {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,5 +62,25 @@ func TestRunWithListen(t *testing.T) {
 func TestObsCheck(t *testing.T) {
 	if err := run(config{obsCheck: true}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDumpCheckpoint: dumping the committed binary golden checkpoint
+// reproduces the committed v1 golden file byte for byte, and a missing
+// file is an error.
+func TestDumpCheckpoint(t *testing.T) {
+	var out bytes.Buffer
+	if err := dumpCheckpoint(&out, "../../testdata/golden.ckptb"); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../testdata/golden.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("dump of golden.ckptb (%d B) differs from golden.ckpt (%d B)", out.Len(), len(want))
+	}
+	if err := dumpCheckpoint(&out, filepath.Join(t.TempDir(), "nope.wck")); err == nil {
+		t.Fatal("dumping a missing file succeeded")
 	}
 }

@@ -95,14 +95,35 @@ func TestDecodeSchemaMismatch(t *testing.T) {
 	}
 }
 
-func TestSaveFileAtomicAndLoadFile(t *testing.T) {
+// TestWriteFileAtomic: the atomic write leaves no temp file behind,
+// and an overwrite replaces the previous contents whole.
+func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
 	ck := sampleCheckpoint()
-	if err := SaveFile(path, ck); err != nil {
-		t.Fatalf("save: %v", err)
+	save := func() {
+		t.Helper()
+		data, err := Encode(ck)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		if err := WriteFileAtomic(path, data); err != nil {
+			t.Fatalf("write: %v", err)
+		}
 	}
-	// SaveFile must not leave its temp file behind.
+	load := func() *Checkpoint {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		return got
+	}
+	save()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("readdir: %v", err)
@@ -110,30 +131,13 @@ func TestSaveFileAtomicAndLoadFile(t *testing.T) {
 	if len(entries) != 1 || entries[0].Name() != "run.ckpt" {
 		t.Fatalf("directory holds %v, want only run.ckpt", entries)
 	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if !reflect.DeepEqual(got, ck) {
+	if got := load(); !reflect.DeepEqual(got, ck) {
 		t.Fatalf("file round trip mutated the checkpoint")
 	}
-	// Overwrite must be atomic too: the second save replaces the first.
 	ck.State.Time = 99
-	if err := SaveFile(path, ck); err != nil {
-		t.Fatalf("second save: %v", err)
-	}
-	got, err = LoadFile(path)
-	if err != nil {
-		t.Fatalf("second load: %v", err)
-	}
-	if got.State.Time != 99 {
+	save()
+	if got := load(); got.State.Time != 99 {
 		t.Fatalf("overwrite not visible: time %d, want 99", got.State.Time)
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.ckpt")); err == nil {
-		t.Fatal("loading a missing file succeeded")
 	}
 }
 

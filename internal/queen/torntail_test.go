@@ -129,7 +129,7 @@ func tornFormats() []tornFormat {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cw, err := s.NewCheckpointWriter(path, waggle.CodecDelta)
+				cw, err := s.NewCheckpointWriter(path)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -172,7 +172,7 @@ func tornFormats() []tornFormat {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cw, err := res.Swarm.NewCheckpointWriter(path, waggle.CodecDelta)
+				cw, err := res.Swarm.NewCheckpointWriter(path)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -14,6 +14,7 @@ package retry
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"time"
@@ -227,15 +228,29 @@ func Do(p Policy, seed int64, sleep func(time.Duration), f func(attempt int) err
 }
 
 // ParseRetryAfter parses the delay-seconds form of a Retry-After
-// header value. The HTTP-date form (nothing in this codebase emits
-// it) and malformed values report false.
+// header value: ASCII digits only (RFC 9110 delay-seconds is 1*DIGIT,
+// so a sign is malformed). A delay too long for a time.Duration
+// saturates at the largest one instead of wrapping into a short or
+// negative wait; NextHint clamps it to the policy cap either way. The
+// HTTP-date form (nothing in this codebase emits it) and malformed
+// values report false.
 func ParseRetryAfter(v string) (time.Duration, bool) {
 	if v == "" {
 		return 0, false
 	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0, false
+	const maxSecs = int64(math.MaxInt64 / time.Second)
+	var secs int64
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if secs <= maxSecs {
+			secs = secs*10 + int64(c-'0')
+		}
+	}
+	if secs > maxSecs {
+		return math.MaxInt64, true
 	}
 	return time.Duration(secs) * time.Second, true
 }

@@ -3,7 +3,9 @@ package retry
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -204,6 +206,18 @@ func TestParseRetryAfter(t *testing.T) {
 		{"-1", 0, false},
 		{"soon", 0, false},
 		{"Wed, 21 Oct 2015 07:28:00 GMT", 0, false},
+		// delay-seconds is 1*DIGIT: no sign, no spaces.
+		{"+5", 0, false},
+		{" 5", 0, false},
+		{"5 ", 0, false},
+		// Largest whole-second delay a Duration holds, then the first
+		// past it: that one and anything longer saturate rather than
+		// wrap (9223372037 used to parse negative, 18446744074 to
+		// 290.4ms — a "wait ~585 years" turned into a stampede).
+		{"9223372036", 9223372036 * time.Second, true},
+		{"9223372037", math.MaxInt64, true},
+		{"18446744074", math.MaxInt64, true},
+		{"99999999999999999999999999", math.MaxInt64, true},
 	}
 	for _, c := range cases {
 		got, ok := ParseRetryAfter(c.in)
@@ -211,6 +225,32 @@ func TestParseRetryAfter(t *testing.T) {
 			t.Fatalf("ParseRetryAfter(%q) = %v,%v want %v,%v", c.in, got, ok, c.want, c.ok)
 		}
 	}
+}
+
+// FuzzParseRetryAfter: whatever a server sends, an accepted delay is
+// never negative, and equals secs·1s whenever that fits a Duration.
+func FuzzParseRetryAfter(f *testing.F) {
+	for _, s := range []string{"", "0", "30", "-1", "+5", "9223372036", "9223372037", "18446744074", "Wed, 21 Oct 2015 07:28:00 GMT"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		d, ok := ParseRetryAfter(v)
+		if !ok {
+			if d != 0 {
+				t.Fatalf("ParseRetryAfter(%q) rejected the value but returned %v", v, d)
+			}
+			return
+		}
+		if d < 0 {
+			t.Fatalf("ParseRetryAfter(%q) = %v, a negative delay", v, d)
+		}
+		secs, err := strconv.ParseInt(v, 10, 64)
+		if err == nil && secs >= 0 && secs <= math.MaxInt64/int64(time.Second) {
+			if want := time.Duration(secs) * time.Second; d != want {
+				t.Fatalf("ParseRetryAfter(%q) = %v, want %v", v, d, want)
+			}
+		}
+	})
 }
 
 // TestCeilSeconds: format rounds up and never advertises zero, so a

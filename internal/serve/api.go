@@ -222,7 +222,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			buildErr = &badRequestError{err}
 			return
 		}
-		writer, err := swarm.NewCheckpointWriter(sess.path, waggle.CodecDelta)
+		writer, err := swarm.NewCheckpointWriter(sess.path)
 		if err == nil {
 			err = writer.Save()
 		}

@@ -14,7 +14,7 @@
 //     queued is skipped, not executed into the void.
 //   - Sessions have lifetime step budgets, bounding both runaway
 //     clients and the replay cost of resuming a checkpointed session.
-//   - Idle sessions are evicted: folded into a CodecDelta checkpoint
+//   - Idle sessions are evicted: folded into a v2 delta checkpoint
 //     chain on disk and dropped from memory. The next touch loads and
 //     replays the chain — the internal/ckpt round-trip guarantee makes
 //     eviction invisible to clients (byte-identical observable state).
@@ -51,7 +51,7 @@ import (
 // Options configures a Server. Zero fields take the defaults below;
 // Dir is required.
 type Options struct {
-	// Dir is the checkpoint directory: one CodecDelta chain file per
+	// Dir is the checkpoint directory: one v2 delta chain file per
 	// session. Required. A restarted server pointed at the same Dir
 	// recovers every session in it.
 	Dir string

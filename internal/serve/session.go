@@ -19,7 +19,7 @@ var (
 
 // session is one hosted swarm. Its lifecycle follows the state machine
 // of DESIGN.md §5h: active → idle (untouched past Options.IdleAfter) →
-// evicted (folded into the CodecDelta chain at `path`, memory freed) →
+// evicted (folded into the v2 delta chain at `path`, memory freed) →
 // resumed (loaded and replayed on next touch; ≡ active with the resume
 // counter bumped). Deletion is terminal from every state.
 //
@@ -69,7 +69,7 @@ func (sess *session) resume() error {
 	if err != nil {
 		return fmt.Errorf("serve: restore %s: %w", sess.id, err)
 	}
-	w, err := res.Swarm.NewCheckpointWriter(sess.path, waggle.CodecDelta)
+	w, err := res.Swarm.NewCheckpointWriter(sess.path)
 	if err != nil {
 		return fmt.Errorf("serve: rebuild writer %s: %w", sess.id, err)
 	}

@@ -15,6 +15,8 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 
 	"waggle"
 	"waggle/internal/geom"
@@ -554,10 +556,17 @@ func runChaos(sc ChaosScenario, engine waggle.EngineMode, trace bool, obsv *wagg
 }
 
 // RunChaosScenarioResumed executes a scenario with a simulated process
-// death at instant killAt: the whole stack (swarm, radio, messenger) is
-// checkpointed, serialized through the wire format, discarded, restored
-// from the bytes, and the run continues on the restored stack. The
-// result — including the byte-identical movement trace — must equal
+// death at instant killAt. The run to killAt is checkpointed by a
+// periodic CheckpointWriter, saving at killAt/4 chunk boundaries and
+// at killAt itself, so the file restored from is a real base +
+// delta-frame chain folded by the loader. At the kill instant the live
+// checkpoint must also survive the other two formats a checkpoint can
+// still be written in: the v1 JSON dump (WriteCheckpoint →
+// ReadCheckpoint) and a v2 snapshot (SaveCheckpoint → LoadCheckpoint)
+// must each read back deep-equal to the folded chain. Then the whole
+// stack (swarm, radio, messenger) is discarded, restored from the
+// chain, and the run continues on the restored stack. The result —
+// including the byte-identical movement trace — must equal
 // RunChaosScenario's; the chaos determinism tests and waggle-chaos
 // -resume-check enforce exactly that.
 func RunChaosScenarioResumed(sc ChaosScenario, engine waggle.EngineMode, killAt int) (*ChaosResult, error) {
@@ -568,21 +577,40 @@ func RunChaosScenarioResumed(sc ChaosScenario, engine waggle.EngineMode, killAt 
 	if err != nil {
 		return nil, err
 	}
-	if err := r.drive(0, killAt); err != nil {
-		return nil, err
+	dir, err := os.MkdirTemp("", "waggle-chaos-")
+	if err != nil {
+		return nil, r.fail(err)
+	}
+	defer os.RemoveAll(dir)
+	chainPath := filepath.Join(dir, "run.wck")
+	cw, err := r.s.NewCheckpointWriter(chainPath)
+	if err != nil {
+		return nil, r.fail(err)
+	}
+	chunk := max(killAt/4, 1)
+	for t := 0; !r.done; {
+		next := min(t+chunk, killAt)
+		if err := r.drive(t, next); err != nil {
+			return nil, err
+		}
+		t = next
+		if r.done {
+			break
+		}
+		if err := cw.Save(); err != nil {
+			return nil, r.fail(err)
+		}
+		if t == killAt {
+			break
+		}
 	}
 	if !r.done {
-		ck, err := r.s.Checkpoint()
+		loaded, err := waggle.LoadCheckpoint(chainPath)
 		if err != nil {
 			return nil, r.fail(err)
 		}
-		var wire bytes.Buffer
-		if err := waggle.WriteCheckpoint(&wire, ck); err != nil {
-			return nil, r.fail(err)
-		}
-		loaded, err := waggle.ReadCheckpoint(&wire)
-		if err != nil {
-			return nil, r.fail(err)
+		if err := checkRoundTrips(r.s, loaded, filepath.Join(dir, "snap.wck")); err != nil {
+			return nil, r.fail(fmt.Errorf("kill at t=%d: %w", killAt, err))
 		}
 		res, err := waggle.Restore(loaded, waggle.RestoreWithEngine(engine))
 		if err != nil {
@@ -596,92 +624,36 @@ func RunChaosScenarioResumed(sc ChaosScenario, engine waggle.EngineMode, killAt 
 	return r.result()
 }
 
-// RunChaosScenarioResumedCodec is RunChaosScenarioResumed parameterized
-// by checkpoint serialization. CodecJSON round-trips the checkpoint
-// through the in-memory v1 envelope (identical to
-// RunChaosScenarioResumed); CodecBinary saves and reloads a v2 binary
-// file; CodecDelta drives the run to killAt in chunks with a periodic
-// CheckpointWriter — so the file restored from is a real base +
-// delta-frame chain, folded by the loader — before the stack is
-// discarded and rebuilt. Whatever the format, the continuation must be
-// byte-identical to the uninterrupted run.
-func RunChaosScenarioResumedCodec(sc ChaosScenario, engine waggle.EngineMode, killAt int, codec waggle.CheckpointCodec) (*ChaosResult, error) {
-	if codec == waggle.CodecJSON {
-		return RunChaosScenarioResumed(sc, engine, killAt)
-	}
-	if killAt < 0 || killAt > sc.Budget {
-		return nil, fmt.Errorf("chaos %s: kill instant %d outside run budget %d", sc.Name, killAt, sc.Budget)
-	}
-	r, err := newChaosRun(sc, engine, true, nil)
+// checkRoundTrips requires the swarm's live checkpoint to read back
+// deep-equal to the folded chain through the v1 JSON dump and through
+// a v2 snapshot saved at snapPath.
+func checkRoundTrips(s *waggle.Swarm, folded *waggle.Checkpoint, snapPath string) error {
+	live, err := s.Checkpoint()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	tmp, err := os.CreateTemp("", "waggle-chaos-*.ckptb")
+	var dump bytes.Buffer
+	if err := waggle.WriteCheckpoint(&dump, live); err != nil {
+		return err
+	}
+	fromDump, err := waggle.ReadCheckpoint(&dump)
 	if err != nil {
-		return nil, r.fail(err)
+		return err
 	}
-	path := tmp.Name()
-	tmp.Close()
-	defer os.Remove(path)
-	saved := false
-	switch codec {
-	case waggle.CodecBinary:
-		if err := r.drive(0, killAt); err != nil {
-			return nil, err
-		}
-		if !r.done {
-			ck, err := r.s.Checkpoint()
-			if err != nil {
-				return nil, r.fail(err)
-			}
-			if err := waggle.SaveCheckpoint(path, ck, waggle.CodecBinary); err != nil {
-				return nil, r.fail(err)
-			}
-			saved = true
-		}
-	case waggle.CodecDelta:
-		cw, err := r.s.NewCheckpointWriter(path, waggle.CodecDelta)
-		if err != nil {
-			return nil, r.fail(err)
-		}
-		chunk := killAt / 4
-		if chunk < 1 {
-			chunk = 1
-		}
-		for t := 0; t < killAt && !r.done; {
-			next := t + chunk
-			if next > killAt {
-				next = killAt
-			}
-			if err := r.drive(t, next); err != nil {
-				return nil, err
-			}
-			t = next
-			if !r.done {
-				if err := cw.Save(); err != nil {
-					return nil, r.fail(err)
-				}
-				saved = true
-			}
-		}
-	default:
-		return nil, fmt.Errorf("chaos %s: unsupported checkpoint codec %v", sc.Name, codec)
+	if !reflect.DeepEqual(fromDump, folded) {
+		return fmt.Errorf("JSON dump of the live checkpoint differs from the folded chain")
 	}
-	if !r.done && saved {
-		loaded, err := waggle.LoadCheckpoint(path)
-		if err != nil {
-			return nil, r.fail(err)
-		}
-		res, err := waggle.Restore(loaded, waggle.RestoreWithEngine(engine))
-		if err != nil {
-			return nil, r.fail(err)
-		}
-		r.s, r.radio, r.bm = res.Swarm, res.Radio, res.Messenger
+	if err := waggle.SaveCheckpoint(snapPath, live); err != nil {
+		return err
 	}
-	if err := r.drive(killAt, sc.Budget); err != nil {
-		return nil, err
+	fromSnap, err := waggle.LoadCheckpoint(snapPath)
+	if err != nil {
+		return err
 	}
-	return r.result()
+	if !reflect.DeepEqual(fromSnap, folded) {
+		return fmt.Errorf("v2 snapshot of the live checkpoint differs from the folded chain")
+	}
+	return nil
 }
 
 // ChaosTable runs every scenario and formats the report.

@@ -169,6 +169,7 @@ func TestChaosKillAndResume(t *testing.T) {
 		{"radio-outage", 200}, // mid-outage, retries pending
 		{"combined", 150},     // crash + outage + ramp all active
 		{"crash-sync", 120},   // no radio: swarm-only restore path
+		{"radio-outage", 0},   // killed before the first instant
 	} {
 		for _, engine := range []waggle.EngineMode{waggle.EngineSequential, waggle.EngineParallel} {
 			sc, err := FindChaosScenario(tc.scenario, 1)

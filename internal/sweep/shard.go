@@ -10,7 +10,7 @@
 // coordinate through observable state alone, and so do the queen's
 // workers: the snapshot artifact is the only channel between them.
 // Kill-and-resume byte-identity is already proven by the chaos
-// harness (RunChaosScenarioResumedCodec), which makes work-stealing
+// harness (RunChaosScenarioResumed), which makes work-stealing
 // safe: a stolen shard produces the same bytes as an undisturbed one.
 //
 // The merge side is the dual: results arrive in completion order from
@@ -20,6 +20,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -32,8 +33,8 @@ const ShardSnapshotSchema = "waggle-queen-shard/v1"
 
 // shardSnap is the wire form of an interrupted chaos shard: the
 // harness-side ledger plus the stack's checkpoint chain. Stack holds
-// the raw bytes of a delta chain file (or any format LoadCheckpoint
-// auto-detects).
+// the raw bytes of a delta chain file (or any format ReadCheckpoint
+// reads).
 type shardSnap struct {
 	Schema string `json:"schema"`
 	Name   string `json:"name"`
@@ -93,22 +94,7 @@ func ResumeChaosShardRun(sc ChaosScenario, engine waggle.EngineMode, snap []byte
 		return nil, fmt.Errorf("chaos %s: shard snapshot ledger has %d/%d entries, want %d",
 			sc.Name, len(ss.SentAt), len(ss.DeliveredAt), len(sc.Sends))
 	}
-	// LoadCheckpoint wants a file (chain folding is format-sniffed on
-	// open); round-trip the bytes through a private temp file.
-	tmp, err := os.CreateTemp("", "waggle-shard-*.wck")
-	if err != nil {
-		return nil, fmt.Errorf("chaos %s: %w", sc.Name, err)
-	}
-	path := tmp.Name()
-	defer os.Remove(path)
-	if _, err := tmp.Write(ss.Stack); err != nil {
-		tmp.Close()
-		return nil, fmt.Errorf("chaos %s: %w", sc.Name, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, fmt.Errorf("chaos %s: %w", sc.Name, err)
-	}
-	ck, err := waggle.LoadCheckpoint(path)
+	ck, err := waggle.ReadCheckpoint(bytes.NewReader(ss.Stack))
 	if err != nil {
 		return nil, fmt.Errorf("chaos %s: shard snapshot stack: %w", sc.Name, err)
 	}
@@ -168,7 +154,7 @@ func (cs *ChaosShardRun) DriveTo(until int) error {
 // self-contained — ResumeChaosShardRun needs nothing else.
 func (cs *ChaosShardRun) Snapshot(chainPath string) ([]byte, error) {
 	if cs.cw == nil {
-		cw, err := cs.r.s.NewCheckpointWriter(chainPath, waggle.CodecDelta)
+		cw, err := cs.r.s.NewCheckpointWriter(chainPath)
 		if err != nil {
 			return nil, fmt.Errorf("chaos %s: %w", cs.sc.Name, err)
 		}

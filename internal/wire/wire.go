@@ -17,9 +17,10 @@
 //     single-byte opcodes.
 //
 // A v2 file is a base frame optionally followed by delta frames (see
-// chain.go); Decode folds the chain back into one Checkpoint. The JSON
-// v1 format remains readable (and is auto-detected by ckpt.Decode)
-// for backward compatibility and debugging.
+// chain.go); Decode folds the chain back into one Checkpoint. Every
+// checkpoint save writes this format. The JSON v1 envelope remains
+// readable (package waggle's loader tells the two apart by Detect) for
+// backward compatibility, and writable only as a debugging dump.
 package wire
 
 import (
@@ -33,10 +34,6 @@ import (
 // Schema is the version tag of the binary checkpoint format, reported
 // in errors alongside the v1 tag so a wrong-version file names both.
 const Schema = "waggle-ckpt/v2"
-
-// CodecName is the name the binary codec registers with internal/ckpt
-// (ckpt.SaveFile's codec option).
-const CodecName = "binary"
 
 // Frame magics. A v2 file starts with a base frame; zero or more delta
 // frames follow. The magic doubles as the format version: an
@@ -53,15 +50,6 @@ var (
 // scale is a power of two, so the int64 round trip is exact — the probe
 // only selects the mode, it never quantizes.
 const fixedShift = 20
-
-func init() {
-	ckpt.RegisterCodec(ckpt.Codec{
-		Name:   CodecName,
-		Encode: Encode,
-		Decode: Decode,
-		Detect: Detect,
-	})
-}
 
 // Detect reports whether data starts with a v2 base frame.
 func Detect(data []byte) bool {

@@ -71,7 +71,6 @@ type options struct {
 	faultRadio       *Radio
 	observer         *Observer
 	restore          *Checkpoint
-	ckptCodec        CheckpointCodec
 	streamPath       string
 }
 
@@ -199,15 +198,6 @@ func WithActivationProbability(p float64) Option {
 // return the messenger); use Restore for those.
 func WithRestore(ck *Checkpoint) Option {
 	return optionFunc(func(o *options) { o.restore = ck })
-}
-
-// WithCheckpointCodec selects the serialization format the swarm's
-// checkpoint writers default to (CodecJSON, CodecBinary, CodecDelta).
-// Like the engine mode this is a preference about how state is written,
-// not part of the run's identity: it is not stored in checkpoints, and
-// a swarm restored from any format may save in any other.
-func WithCheckpointCodec(c CheckpointCodec) Option {
-	return optionFunc(func(o *options) { o.ckptCodec = c })
 }
 
 // WithStream attaches a waggle-stream/v1 movement stream writing to

@@ -18,7 +18,7 @@ import (
 //   - replay: build the swarm and re-execute the input log;
 //   - verify: re-capture the state (including the one full trace hash)
 //     and deep-compare it with the stored snapshot;
-//   - save: build the CodecDelta writer (which adopts the chain) and
+//   - save: build the checkpoint writer (which adopts the chain) and
 //     take the first save after a send — a delta append unless the
 //     aged chain is due for a rebase (reported as delta-saves).
 //
@@ -55,7 +55,7 @@ func BenchmarkResumeByAge(b *testing.B) {
 					b.Fatal(err)
 				}
 				t3 := time.Now()
-				cw, err := s.NewCheckpointWriter(path, CodecDelta)
+				cw, err := s.NewCheckpointWriter(path)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -86,7 +86,7 @@ func BenchmarkResumeByAge(b *testing.B) {
 }
 
 // agedChain ages a serve-shaped session to the given number of
-// instants, saving to a CodecDelta chain at path after every op, and
+// instants, saving to a delta chain at path after every op, and
 // returns the chain's bytes.
 func agedChain(b *testing.B, path string, instants int) []byte {
 	b.Helper()
@@ -95,7 +95,7 @@ func agedChain(b *testing.B, path string, instants int) []byte {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cw, err := s.NewCheckpointWriter(path, CodecDelta)
+	cw, err := s.NewCheckpointWriter(path)
 	if err != nil {
 		b.Fatal(err)
 	}
