@@ -149,8 +149,9 @@ perfbench-check:
 # Fuzz smoke: a few seconds each on the shared byte boundaries — the
 # checkpoint decoder, the append-only frame scanner every log shares
 # (wire/log.go), the stream tail spectate feeds client offsets into,
-# the one checkpoint loader entry (v1 and v2), and the Retry-After
-# parser clients feed server headers into.
+# the one checkpoint loader entry (v1 and v2), the Retry-After parser
+# clients feed server headers into, the queen journal's event bodies,
+# and serve's create-request → swarm-options mapping.
 # `go test -fuzz` takes one target per call.
 fuzz-check:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/wire
@@ -158,6 +159,8 @@ fuzz-check:
 	$(GO) test -run '^$$' -fuzz '^FuzzTailStream$$' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 5s ./internal/retry
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 5s ./internal/queen
+	$(GO) test -run '^$$' -fuzz '^FuzzCreateSession$$' -fuzztime 5s ./internal/serve
 
 # Known-vulnerability scan, skipped gracefully when govulncheck is not
 # installed or its database is unreachable (offline CI).

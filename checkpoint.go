@@ -48,10 +48,6 @@ var (
 	// snapshot stored in it — a corrupt file, or a build whose
 	// execution semantics drifted from the one that saved it.
 	ErrRestoreMismatch = errors.New("waggle: restored state diverges from checkpoint snapshot")
-	// ErrRestoreConfig is returned by WithRestore when the positions
-	// and options passed to NewSwarm do not describe the checkpointed
-	// swarm.
-	ErrRestoreConfig = errors.New("waggle: checkpoint config does not match the swarm being built")
 )
 
 // SaveCheckpoint writes ck to path atomically (temp file + fsync +
@@ -226,33 +222,6 @@ func Restore(ck *Checkpoint, ropts ...RestoreOption) (*Restored, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// newSwarmRestored is the WithRestore path of NewSwarm: the caller
-// passes the same positions and options the checkpoint was captured
-// with (verified; engine mode excepted) plus the checkpoint itself.
-// Messenger-coupled checkpoints need the full Restore entry point.
-func newSwarmRestored(positions []Point, o options) (*Swarm, error) {
-	ck := o.restore
-	o.restore = nil
-	if ck.Config.Messenger {
-		return nil, fmt.Errorf("%w: checkpoint couples a BackupMessenger; restore it with waggle.Restore", ErrRestoreConfig)
-	}
-	s, err := newSwarm(positions, o)
-	if err != nil {
-		return nil, err
-	}
-	got, want := s.ckptConfig(), ck.Config
-	// The engine never changes the computed execution, so restoring
-	// under a different mode is allowed: compare configs engine-blind.
-	got.Options.Engine, want.Options.Engine = 0, 0
-	if !reflect.DeepEqual(got, want) {
-		return nil, fmt.Errorf("%w: %s", ErrRestoreConfig, firstConfigDiff(got, want))
-	}
-	if err := s.finishRestore(ck, s.radio, nil); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // finishRestore replays the checkpoint's input log against a freshly
@@ -683,16 +652,8 @@ func anyTrue(bs []bool) bool {
 
 // firstStateDiff names the first top-level State field that differs,
 // for actionable ErrRestoreMismatch messages.
-func firstStateDiff(got, want ckpt.State) string {
-	return firstFieldDiff(reflect.ValueOf(got), reflect.ValueOf(want))
-}
-
-// firstConfigDiff names the first top-level Config field that differs.
-func firstConfigDiff(got, want ckpt.Config) string {
-	return firstFieldDiff(reflect.ValueOf(got), reflect.ValueOf(want))
-}
-
-func firstFieldDiff(got, want reflect.Value) string {
+func firstStateDiff(gotState, wantState ckpt.State) string {
+	got, want := reflect.ValueOf(gotState), reflect.ValueOf(wantState)
 	t := got.Type()
 	for i := 0; i < t.NumField(); i++ {
 		if !reflect.DeepEqual(got.Field(i).Interface(), want.Field(i).Interface()) {

@@ -86,9 +86,6 @@ func main() {
 	flag.StringVar(&cfg.out, "out", "BENCH_serve.json", "result JSON path")
 	flag.BoolVar(&cfg.smoke, "smoke", false, "seconds-long run for CI (overrides the scale flags)")
 	flag.Parse()
-	if cfg.smoke {
-		cfg.sessions, cfg.workers, cfg.rounds, cfg.steps, cfg.overload = 32, 8, 2, 10, 40
-	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "waggle-load:", err)
 		os.Exit(1)
@@ -96,6 +93,9 @@ func main() {
 }
 
 func run(cfg config) error {
+	if cfg.smoke {
+		cfg.sessions, cfg.workers, cfg.rounds, cfg.steps, cfg.overload = 32, 8, 2, 10, 40
+	}
 	client := &http.Client{
 		Transport: &http.Transport{MaxIdleConns: cfg.workers * 2, MaxIdleConnsPerHost: cfg.workers * 2},
 		Timeout:   60 * time.Second,

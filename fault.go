@@ -69,6 +69,26 @@ type FaultPlan struct {
 	Events []FaultEvent
 }
 
+// End returns the first instant at which no event of the plan is in
+// effect any more (0 for an empty plan), or -1 when a crash never
+// recovers. A displacement is in effect only at its instant At.
+func (p FaultPlan) End() int {
+	end := 0
+	for _, e := range p.Events {
+		if e.Kind == FaultCrash && e.Until == 0 {
+			return -1
+		}
+		u := e.Until
+		if e.Kind == FaultDisplace {
+			u = e.At + 1
+		}
+		if u > end {
+			end = u
+		}
+	}
+	return end
+}
+
 // WithFaultPlan attaches a fault-injection plan to the swarm. Protocols
 // do not expect faults; combine with WithStabilization to measure
 // recovery (EXPERIMENTS.md chaos table), or run plain protocols under a

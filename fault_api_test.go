@@ -39,6 +39,31 @@ func TestFaultPlanValidation(t *testing.T) {
 	}
 }
 
+func TestFaultPlanEnd(t *testing.T) {
+	if end := (FaultPlan{}).End(); end != 0 {
+		t.Errorf("empty plan End() = %d", end)
+	}
+	p := FaultPlan{Events: []FaultEvent{
+		{Kind: FaultDisplace, Robot: 0, At: 30, DX: 1},
+		{Kind: FaultObserveNoise, Robot: -1, At: 10, Until: 50, Mag: 1},
+	}}
+	if end := p.End(); end != 50 {
+		t.Errorf("End() = %d, want 50", end)
+	}
+	p.Events = append(p.Events, FaultEvent{Kind: FaultDisplace, Robot: 1, At: 60, DX: 1})
+	if end := p.End(); end != 61 {
+		t.Errorf("End() = %d, want 61 (a displacement ends after its instant)", end)
+	}
+	p.Events = append(p.Events, FaultEvent{Kind: FaultJamRamp, Robot: -1, At: 60, Until: 70, Max: 1})
+	if end := p.End(); end != 70 {
+		t.Errorf("End() = %d, want 70", end)
+	}
+	forever := FaultPlan{Events: []FaultEvent{{Kind: FaultCrash, Robot: 0, At: 5}}}
+	if end := forever.End(); end != -1 {
+		t.Errorf("never-ending plan End() = %d, want -1", end)
+	}
+}
+
 func TestFaultPlanRadioEventsNeedRadio(t *testing.T) {
 	plan := FaultPlan{Events: []FaultEvent{
 		{Kind: FaultRadioOutage, Robot: 0, At: 10, Until: 20},

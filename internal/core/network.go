@@ -251,9 +251,9 @@ func (n *Network) RunUntilQuiet(maxSteps int) ([]protocol.Received, int, error) 
 }
 
 // consume hands out the next `count` deliveries past the cursor and
-// advances it. A cursor window past the end of the delivered log —
-// possible only if a restore loaded inconsistent state — is reported as
-// a *CursorError instead of a slice-bounds panic.
+// advances it. A cursor window outside the delivered log — possible
+// only through corrupted state — is reported as a *CursorError instead
+// of a slice-bounds panic.
 func (n *Network) consume(count int) ([]protocol.Received, error) {
 	if n.consumed < 0 || count < 0 || n.consumed+count > len(n.delivered) {
 		return nil, &CursorError{Consumed: n.consumed, Delivered: len(n.delivered), Count: count}
@@ -314,17 +314,6 @@ func (n *Network) Scheduler() sim.Scheduler { return n.scheduler }
 // Consumed returns the consumption cursor: how many delivered messages
 // RunUntil* calls have already handed out.
 func (n *Network) Consumed() int { return n.consumed }
-
-// RestoreConsumed reinstates a checkpointed consumption cursor. Cursors
-// outside [0, len(delivered)] are rejected with a *CursorError so a
-// corrupt checkpoint surfaces at restore time, not as a later panic.
-func (n *Network) RestoreConsumed(consumed int) error {
-	if consumed < 0 || consumed > len(n.delivered) {
-		return &CursorError{Consumed: consumed, Delivered: len(n.delivered)}
-	}
-	n.consumed = consumed
-	return nil
-}
 
 func (n *Network) allIdle() bool {
 	for _, e := range n.endpoints {

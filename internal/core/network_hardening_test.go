@@ -73,10 +73,11 @@ func TestRunZeroBudgetIsCheckWithoutStepping(t *testing.T) {
 	}
 }
 
-// TestRestoreConsumedValidation pins the cursor hardening: restoring a
-// cursor outside [0, len(delivered)] fails with a *CursorError that
-// unwraps to ErrCorruptCursor, and a valid cursor round-trips.
-func TestRestoreConsumedValidation(t *testing.T) {
+// TestCorruptCursorValidation pins the cursor hardening: consuming from
+// a cursor outside [0, len(delivered)] fails with a *CursorError that
+// unwraps to ErrCorruptCursor instead of a slice-bounds panic, and a
+// valid cursor round-trips.
+func TestCorruptCursorValidation(t *testing.T) {
 	net := buildNetwork(t, 4, false, 12)
 	if err := net.Send(0, 1, []byte("one")); err != nil {
 		t.Fatal(err)
@@ -88,19 +89,18 @@ func TestRestoreConsumedValidation(t *testing.T) {
 		t.Fatalf("consumed = %d, want 1", got)
 	}
 	for _, bad := range []int{-1, len(net.Delivered()) + 1, 1 << 20} {
-		err := net.RestoreConsumed(bad)
+		net.consumed = bad
+		_, err := net.consume(0)
 		if !errors.Is(err, ErrCorruptCursor) {
-			t.Fatalf("RestoreConsumed(%d) = %v, want ErrCorruptCursor", bad, err)
+			t.Fatalf("consume at cursor %d = %v, want ErrCorruptCursor", bad, err)
 		}
 		var ce *CursorError
-		if !errors.As(err, &ce) {
-			t.Fatalf("RestoreConsumed(%d) = %T, want *CursorError", bad, err)
+		if !errors.As(err, &ce) || ce.Consumed != bad {
+			t.Fatalf("consume at cursor %d = %#v, want *CursorError naming it", bad, err)
 		}
 	}
 	// Rewinding to a valid cursor re-exposes the message.
-	if err := net.RestoreConsumed(0); err != nil {
-		t.Fatalf("RestoreConsumed(0): %v", err)
-	}
+	net.consumed = 0
 	msgs, _, err := net.RunUntilDelivered(1, 0)
 	if err != nil || len(msgs) != 1 {
 		t.Fatalf("after rewind: (%v, %v), want the delivered message again", msgs, err)

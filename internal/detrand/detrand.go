@@ -11,14 +11,13 @@ import "math/rand"
 // CountingSource is a rand.Source64 that counts every draw.
 type CountingSource struct {
 	src   rand.Source64
-	seed  int64
 	draws uint64
 }
 
 // New returns a counting source seeded with seed and a rand.Rand over
 // it.
 func New(seed int64) (*CountingSource, *rand.Rand) {
-	cs := &CountingSource{src: newSource64(seed), seed: seed}
+	cs := &CountingSource{src: newSource64(seed)}
 	return cs, rand.New(cs)
 }
 
@@ -44,13 +43,9 @@ func (c *CountingSource) Uint64() uint64 {
 
 // Seed implements rand.Source, resetting the draw counter.
 func (c *CountingSource) Seed(seed int64) {
-	c.seed = seed
 	c.draws = 0
 	c.src.Seed(seed)
 }
-
-// SeedValue returns the seed the stream was last seeded with.
-func (c *CountingSource) SeedValue() int64 { return c.seed }
 
 // Draws returns how many values have been drawn since seeding.
 func (c *CountingSource) Draws() uint64 { return c.draws }

@@ -66,30 +66,17 @@ func TestPlanValidate(t *testing.T) {
 	}
 }
 
-func TestPlanEndAndNeedsRadio(t *testing.T) {
-	if end := (Plan{}).End(); end != 0 {
-		t.Errorf("empty plan End() = %d", end)
-	}
+func TestPlanNeedsRadio(t *testing.T) {
 	p := Plan{Events: []Event{
 		{Kind: Displace, Robot: 0, At: 30, Delta: geom.V(1, 0)},
 		{Kind: ObserveNoise, Robot: AllRobots, At: 10, Until: 50, Mag: 1},
 	}}
-	if end := p.End(); end != 50 {
-		t.Errorf("End() = %d, want 50", end)
-	}
 	if p.NeedsRadio() {
 		t.Error("movement-only plan claims to need a radio")
 	}
 	p.Events = append(p.Events, Event{Kind: JamRamp, At: 60, Until: 70, Max: 1})
-	if end := p.End(); end != 70 {
-		t.Errorf("End() = %d, want 70", end)
-	}
 	if !p.NeedsRadio() {
 		t.Error("jam plan does not need a radio")
-	}
-	forever := Plan{Events: []Event{{Kind: Crash, Robot: 0, At: 5}}}
-	if end := forever.End(); end != -1 {
-		t.Errorf("never-ending plan End() = %d, want -1", end)
 	}
 }
 

@@ -97,26 +97,11 @@ func (inj *Injector) Observer() *obs.Observer { return inj.obs }
 
 // WindowState reports the injector's last-applied radio window state —
 // which robots it currently holds broken and whether a jam window was
-// active — for checkpoint capture. The outage slice is a copy. Restoring
-// this state lets the injector's edge-triggered Break/Repair/SetJamming
-// logic resume mid-window without re-firing transitions.
+// active — for checkpoint capture. The outage slice is a copy. A
+// restore re-derives this state by replaying the input log, and its
+// verification compares the two.
 func (inj *Injector) WindowState() (outage []bool, jam bool) {
 	return append([]bool(nil), inj.prevOutage...), inj.prevJam
-}
-
-// RestoreWindowState reinstates a previously captured radio window
-// state. A nil outage slice leaves all robots unbroken; a wrong-length
-// slice is an error.
-func (inj *Injector) RestoreWindowState(outage []bool, jam bool) error {
-	if outage != nil && len(outage) != inj.n {
-		return fmt.Errorf("fault: window state for %d robots, injector has %d", len(outage), inj.n)
-	}
-	for i := range inj.prevOutage {
-		inj.prevOutage[i] = false
-	}
-	copy(inj.prevOutage, outage)
-	inj.prevJam = jam
-	return nil
 }
 
 // Crashed reports whether robot i is crash-stopped at instant t.

@@ -193,23 +193,3 @@ func (p Plan) NeedsRadio() bool {
 	}
 	return false
 }
-
-// End returns the first instant at which no event is in effect any
-// more, or -1 when some event never ends. The chaos harness uses it to
-// place its post-fault probe traffic.
-func (p Plan) End() int {
-	end := 0
-	for _, e := range p.Events {
-		if e.Kind == Crash && e.Until == 0 {
-			return -1
-		}
-		u := e.Until
-		if e.Kind == Displace {
-			u = e.At + 1
-		}
-		if u > end {
-			end = u
-		}
-	}
-	return end
-}

@@ -123,21 +123,21 @@ func TestAsync2NeverSilent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr := w.Trace()
-	for robot := 0; robot < 2; robot++ {
-		activations := 0
-		for _, s := range tr.Steps() {
-			for _, a := range s.Active {
-				if a == robot {
-					activations++
-				}
+	checkEveryActivationMoves(t, w.Trace(), 1e-12)
+}
+
+// checkEveryActivationMoves fails the test unless every instant of the
+// trace moves each robot it activates by more than tol.
+func checkEveryActivationMoves(t *testing.T, tr *sim.Trace, tol float64) {
+	t.Helper()
+	prev := tr.Initial()
+	for _, s := range tr.Steps() {
+		for _, a := range s.Active {
+			if d := s.Positions[a].Dist(prev[a]); d <= tol {
+				t.Errorf("t=%d: robot %d activated but moved %g (must move whenever active)", s.Time, a, d)
 			}
 		}
-		moves := tr.NonTrivialMoves(robot, 1e-12)
-		if moves < activations {
-			t.Errorf("robot %d: %d non-trivial moves over %d activations (must move whenever active)",
-				robot, moves, activations)
-		}
+		prev = s.Positions
 	}
 }
 

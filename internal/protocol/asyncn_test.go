@@ -169,20 +169,7 @@ func TestAsyncNNeverSilent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr := w.Trace()
-	for robot := 0; robot < 4; robot++ {
-		activations := 0
-		for _, s := range tr.Steps() {
-			for _, a := range s.Active {
-				if a == robot {
-					activations++
-				}
-			}
-		}
-		if moves := tr.NonTrivialMoves(robot, 0); moves < activations {
-			t.Errorf("robot %d: %d moves over %d activations", robot, moves, activations)
-		}
-	}
+	checkEveryActivationMoves(t, w.Trace(), 0)
 }
 
 func TestAsyncNEavesdropRedundancy(t *testing.T) {

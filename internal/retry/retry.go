@@ -135,9 +135,6 @@ func NewBackoff(p Policy, seed int64) *Backoff {
 	return &Backoff{p: p.withDefaults(), rng: rand.New(rand.NewSource(seed))}
 }
 
-// Attempt returns the number of failures consumed so far.
-func (b *Backoff) Attempt() int { return b.attempt }
-
 // Next consumes one failure and returns the jittered delay to sleep
 // before the next try, or false when the policy's attempts are
 // exhausted.

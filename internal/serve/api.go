@@ -324,6 +324,9 @@ func (s *Server) handleSend(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	var resp SendResponse
 	err := s.withSession(ctx, id, func(sess *session) error {
+		if n := sess.swarm.InputLogLen(); n >= s.opts.StepBudget {
+			return fmt.Errorf("%w: input log holds %d of %d entries", errBudget, n, s.opts.StepBudget)
+		}
 		var err error
 		if req.All {
 			err = sess.swarm.SendAll(req.From, req.Payload)

@@ -67,8 +67,10 @@ type Options struct {
 	// MaxRobots bounds a session's swarm size (default 128).
 	MaxRobots int
 	// StepBudget is the lifetime instant budget per session (default
-	// 1e5). Exhausted budgets fail with 403 — it also bounds the input
-	// log a resume has to replay.
+	// 1e5), and the cap on its recorded input entries: a step past it,
+	// or a send once the input log holds StepBudget entries, fails with
+	// 403. Each step request adds at most one entry, so the input log a
+	// resume has to replay stays within 2×StepBudget entries.
 	StepBudget int
 	// MaxStepsPerRequest caps one step request (default 10000).
 	MaxStepsPerRequest int

@@ -334,9 +334,10 @@ func TestRateLimit429(t *testing.T) {
 	}
 }
 
-// TestStepBudgetExhaustion pins the per-session lifetime budget.
+// TestStepBudgetExhaustion pins the per-session lifetime budget, on
+// instants and on recorded input entries.
 func TestStepBudgetExhaustion(t *testing.T) {
-	_, ts := newTestServer(t, Options{StepBudget: 100})
+	s, ts := newTestServer(t, Options{StepBudget: 100})
 	created := createSession(t, ts.URL, twoRobotConfig(1))
 	sessURL := ts.URL + "/v1/sessions/" + created.ID
 	if status, _ := do(t, "POST", sessURL+"/step", StepRequest{Steps: 100}, nil); status != http.StatusOK {
@@ -346,6 +347,27 @@ func TestStepBudgetExhaustion(t *testing.T) {
 	status, _ := do(t, "POST", sessURL+"/step", StepRequest{Steps: 1}, &e)
 	if status != http.StatusForbidden {
 		t.Fatalf("over-budget step: status %d (%s)", status, e.Error)
+	}
+
+	// Every send is one input entry a resume replays, so a sends-only
+	// session is refused once its log holds StepBudget entries — and
+	// still after an evict/resume, since the log lives in the checkpoint.
+	sender := createSession(t, ts.URL, twoRobotConfig(2))
+	sendURL := ts.URL + "/v1/sessions/" + sender.ID + "/send"
+	msg := SendRequest{From: 0, To: 1, Payload: []byte("x")}
+	for i := 0; i < 100; i++ {
+		if status, _ := do(t, "POST", sendURL, msg, &e); status != http.StatusAccepted {
+			t.Fatalf("in-budget send %d: status %d (%s)", i, status, e.Error)
+		}
+	}
+	if status, _ := do(t, "POST", sendURL, msg, &e); status != http.StatusForbidden {
+		t.Fatalf("over-budget send: status %d (%s)", status, e.Error)
+	}
+	if n := s.EvictIdle(0); n != 2 {
+		t.Fatalf("evicted %d sessions, want 2", n)
+	}
+	if status, _ := do(t, "POST", sendURL, msg, &e); status != http.StatusForbidden {
+		t.Fatalf("over-budget send after resume: status %d (%s)", status, e.Error)
 	}
 }
 

@@ -94,9 +94,6 @@ func (w *World) Engine() EngineMode { return w.engine }
 // bit-identical to the dense view's visible set. Safe between steps.
 func (w *World) SetCompactViews(on bool) { w.compact = on }
 
-// CompactViews reports whether compact views are enabled.
-func (w *World) CompactViews() bool { return w.compact }
-
 // useParallel decides whether this instant's compute phase fans out.
 func (w *World) useParallel(activeLen int) bool {
 	switch w.engine {

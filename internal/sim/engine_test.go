@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -62,8 +63,9 @@ func engineWorld(t *testing.T, n int, mode EngineMode, seed int64) *World {
 }
 
 // TestEngineParity pins the tentpole guarantee: sequential and parallel
-// engines produce byte-for-byte identical executions — same moves, same
-// per-instant configurations — for the same seed and scheduler.
+// engines produce byte-for-byte identical executions — same active sets,
+// same per-instant configurations, same distances covered — for the
+// same seed and scheduler.
 func TestEngineParity(t *testing.T) {
 	const n, steps = 48, 200 // above parallelMinActive so EngineParallel really fans out
 	for _, scheduler := range []Scheduler{Synchronous{}, FirstSync{Inner: NewRandomFair(7)}} {
@@ -88,13 +90,18 @@ func TestEngineParity(t *testing.T) {
 				t.Fatalf("robot %d diverged: sequential %v, parallel %v", i, seq.Position(i), par.Position(i))
 			}
 		}
-		seqMoves, parMoves := seq.Trace().Moves(), par.Trace().Moves()
-		if len(seqMoves) != len(parMoves) {
-			t.Fatalf("move counts diverged: %d vs %d", len(seqMoves), len(parMoves))
+		seqSteps, parSteps := seq.Trace().Steps(), par.Trace().Steps()
+		if len(seqSteps) != len(parSteps) {
+			t.Fatalf("step counts diverged: %d vs %d", len(seqSteps), len(parSteps))
 		}
-		for i := range seqMoves {
-			if seqMoves[i] != parMoves[i] {
-				t.Fatalf("move %d diverged: %+v vs %+v", i, seqMoves[i], parMoves[i])
+		for k := range seqSteps {
+			if !reflect.DeepEqual(seqSteps[k], parSteps[k]) {
+				t.Fatalf("instant %d diverged: %+v vs %+v", k, seqSteps[k], parSteps[k])
+			}
+		}
+		for i := 0; i < n; i++ {
+			if d, e := seq.Trace().TotalDistance(i), par.Trace().TotalDistance(i); d != e {
+				t.Fatalf("robot %d distance diverged: %v vs %v", i, d, e)
 			}
 		}
 	}

@@ -148,41 +148,6 @@ func TestTrackerIdentify(t *testing.T) {
 	}
 }
 
-func TestChangeCounter(t *testing.T) {
-	c := NewChangeCounter(2, 1e-6)
-	// First observation is the baseline, not a change.
-	if got := c.Observe(0, geom.Pt(0, 0)); got != 0 {
-		t.Errorf("baseline counted as change: %d", got)
-	}
-	if got := c.Observe(0, geom.Pt(0, 0)); got != 0 {
-		t.Errorf("no-move counted as change: %d", got)
-	}
-	if got := c.Observe(0, geom.Pt(1, 0)); got != 1 {
-		t.Errorf("first change: count = %d, want 1", got)
-	}
-	if got := c.Observe(0, geom.Pt(1, 0)); got != 1 {
-		t.Errorf("steady position increments count: %d", got)
-	}
-	if got := c.Observe(0, geom.Pt(2, 0)); got != 2 {
-		t.Errorf("second change: count = %d, want 2", got)
-	}
-	c.Observe(1, geom.Pt(5, 5))
-	if c.AllAtLeast(2, -1) {
-		t.Error("AllAtLeast(2) should fail: robot 1 has no changes")
-	}
-	if !c.AllAtLeast(2, 1) {
-		t.Error("AllAtLeast(2, skip=1) should succeed")
-	}
-	c.Reset()
-	if c.Count(0) != 0 {
-		t.Errorf("Reset did not clear counts: %d", c.Count(0))
-	}
-	// After Reset the next observation is a fresh baseline.
-	if got := c.Observe(0, geom.Pt(9, 9)); got != 0 {
-		t.Errorf("post-reset baseline counted as change: %d", got)
-	}
-}
-
 // TestRandomFairZeroValueUsesDocumentedSeed pins the satellite fix: a
 // zero-value RandomFair must behave exactly like
 // NewRandomFair(DefaultRandomFairSeed) rather than silently reseeding

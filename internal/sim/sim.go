@@ -16,7 +16,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"waggle/internal/geom"
@@ -455,7 +454,7 @@ func (w *World) Step(s Scheduler) ([]int, error) {
 		}
 		w.robots[i].Frame = w.robots[i].Frame.WithOrigin(dest)
 		if w.trace != nil {
-			w.trace.record(w.time, i, from, dest)
+			w.trace.record(i, from, dest)
 		}
 		if w.stream != nil {
 			w.stream.RecordMove(w.time, i, dest)
@@ -520,7 +519,7 @@ func (w *World) Teleport(i int, to geom.Point) error {
 	}
 	w.robots[i].Frame = w.robots[i].Frame.WithOrigin(to)
 	if w.trace != nil {
-		w.trace.record(w.time, i, from, to)
+		w.trace.record(i, from, to)
 	}
 	if w.stream != nil {
 		w.stream.RecordMove(w.time, i, to)
@@ -645,30 +644,18 @@ func (w *World) localView(i int, snapshot []geom.Point) View {
 // compactView builds robot i's compact view: the robots inside the
 // sensor disc, ascending by robot index, with Indices mapping slots back
 // to robot indices. The visible content is bit-identical to the dense
-// view's visible set — same exact Dist <= VisRadius predicate (on a
-// grid-narrowed candidate superset when the index is active), same
-// frame transform, ascending order.
+// view's visible set — same exact Dist <= VisRadius predicate, same
+// frame transform, ascending order. It runs only with the view index
+// off: computeMoves sends every compact world with an active index to
+// computeMovesBatched instead.
 func (w *World) compactView(i int, snapshot []geom.Point) View {
 	sc := &w.scratch[i]
 	self := snapshot[i]
 	r := w.visRadii[i]
 	idx := sc.cidx[:0]
-	if w.viewIndexActive {
-		if o := w.obs; o != nil {
-			o.Sim.ViewIndexViews.Inc()
-		}
-		w.viewIndex.VisitNeighborhood(self, r, func(j int, d float64) {
-			if d <= r {
-				idx = append(idx, j)
-			}
-		})
-		// Grid visit order is bucket order; compact views are sorted.
-		slices.Sort(idx)
-	} else {
-		for j := range snapshot {
-			if self.Dist(snapshot[j]) <= r {
-				idx = append(idx, j)
-			}
+	for j := range snapshot {
+		if self.Dist(snapshot[j]) <= r {
+			idx = append(idx, j)
 		}
 	}
 	sc.cidx = idx

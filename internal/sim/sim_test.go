@@ -263,17 +263,11 @@ func TestTraceRecording(t *testing.T) {
 	if got := len(tr.Steps()); got != 4 {
 		t.Errorf("recorded %d steps, want 4", got)
 	}
-	if got := len(tr.MovesBy(0)); got != 4 {
-		t.Errorf("robot 0 has %d moves, want 4", got)
-	}
 	if d := tr.TotalDistance(0); !geom.ApproxEq(d, 4) {
 		t.Errorf("robot 0 distance = %v, want 4", d)
 	}
-	if d := tr.TotalDistance(1); d > geom.Eps {
+	if d := tr.TotalDistance(1); d != 0 {
 		t.Errorf("robot 1 distance = %v, want 0", d)
-	}
-	if got := tr.NonTrivialMoves(1, 1e-9); got != 0 {
-		t.Errorf("robot 1 non-trivial moves = %d, want 0", got)
 	}
 	// Min pairwise distance: robot 0 walks from x=0 to x=4 past robot 1
 	// at x=3 -> minimum separation is 0 at t with x=3... positions are
@@ -320,8 +314,8 @@ func TestTeleport(t *testing.T) {
 		t.Error("out-of-range teleport accepted")
 	}
 	// The teleport is recorded in the trace as a move.
-	if got := len(w.Trace().MovesBy(0)); got != 1 {
-		t.Errorf("teleport not traced: %d moves", got)
+	if d, want := w.Trace().TotalDistance(0), geom.Pt(0, 0).Dist(geom.Pt(5, 5)); d != want {
+		t.Errorf("teleport traced as distance %v, want %v", d, want)
 	}
 }
 
@@ -391,12 +385,21 @@ func TestTraceAccessors(t *testing.T) {
 	if len(init) != 2 || !init[0].Eq(geom.Pt(0, 0)) {
 		t.Errorf("Initial = %v", init)
 	}
-	moves := tr.Moves()
-	if len(moves) != 2 {
-		t.Fatalf("Moves = %d entries", len(moves))
+	steps := tr.Steps()
+	if len(steps) != 1 || len(steps[0].Active) != 2 {
+		t.Fatalf("Steps = %+v, want one instant activating both robots", steps)
 	}
-	if moves[0].Dist() == 0 && moves[1].Dist() == 0 {
-		t.Error("all moves have zero distance")
+	if !steps[0].Positions[0].Eq(w.Position(0)) {
+		t.Errorf("recorded position %v, live %v", steps[0].Positions[0], w.Position(0))
+	}
+	if d := tr.TotalDistance(0); !geom.ApproxEq(d, 1) {
+		t.Errorf("robot 0 distance = %v, want 1", d)
+	}
+	// Indices outside the swarm have covered no distance.
+	for _, i := range []int{-1, 2, 1 << 30} {
+		if d := tr.TotalDistance(i); d != 0 {
+			t.Errorf("TotalDistance(%d) = %v, want 0", i, d)
+		}
 	}
 }
 

@@ -8,17 +8,6 @@ import (
 	"waggle/internal/geom"
 )
 
-// Move is one robot's displacement at one instant.
-type Move struct {
-	Time  int
-	Robot int
-	From  geom.Point
-	To    geom.Point
-}
-
-// Dist returns the distance covered by the move.
-func (m Move) Dist() float64 { return m.From.Dist(m.To) }
-
 // StepRecord summarises one instant: who was active and the resulting
 // configuration.
 type StepRecord struct {
@@ -28,24 +17,26 @@ type StepRecord struct {
 }
 
 // Trace records a full execution for analysis: the initial
-// configuration, every move, and every per-instant configuration. It is
-// omniscient — protocols never read it; tests, figure generators and
-// benchmarks do.
+// configuration, every per-instant configuration, and each robot's
+// total distance covered. It is omniscient — protocols never read it;
+// tests, figure generators and benchmarks do.
 type Trace struct {
 	initial []geom.Point
-	moves   []Move
 	steps   []StepRecord
+	dist    []float64 // per-robot running sum of move lengths
 }
 
 // NewTrace starts a trace from the given initial configuration.
 func NewTrace(initial []geom.Point) *Trace {
 	init := make([]geom.Point, len(initial))
 	copy(init, initial)
-	return &Trace{initial: init}
+	return &Trace{initial: init, dist: make([]float64, len(initial))}
 }
 
-func (tr *Trace) record(t, robot int, from, to geom.Point) {
-	tr.moves = append(tr.moves, Move{Time: t, Robot: robot, From: from, To: to})
+// record accounts one move of robot, an index of the initial
+// configuration.
+func (tr *Trace) record(robot int, from, to geom.Point) {
+	tr.dist[robot] += from.Dist(to)
 }
 
 func (tr *Trace) endStep(t int, active []int, positions []geom.Point) {
@@ -63,13 +54,6 @@ func (tr *Trace) Initial() []geom.Point {
 	return out
 }
 
-// Moves returns all recorded moves in order.
-func (tr *Trace) Moves() []Move {
-	out := make([]Move, len(tr.moves))
-	copy(out, tr.moves)
-	return out
-}
-
 // Steps returns the per-instant records in order.
 func (tr *Trace) Steps() []StepRecord {
 	out := make([]StepRecord, len(tr.steps))
@@ -77,39 +61,14 @@ func (tr *Trace) Steps() []StepRecord {
 	return out
 }
 
-// MovesBy returns the moves of one robot in order.
-func (tr *Trace) MovesBy(robot int) []Move {
-	var out []Move
-	for _, m := range tr.moves {
-		if m.Robot == robot {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // TotalDistance returns the total distance covered by one robot — the
-// energy proxy used by the silence experiments (C5 in DESIGN.md).
+// energy proxy used by the silence experiments (C5 in DESIGN.md) — and
+// 0 for an index outside the swarm.
 func (tr *Trace) TotalDistance(robot int) float64 {
-	var sum float64
-	for _, m := range tr.moves {
-		if m.Robot == robot {
-			sum += m.Dist()
-		}
+	if robot < 0 || robot >= len(tr.dist) {
+		return 0
 	}
-	return sum
-}
-
-// NonTrivialMoves returns how many moves of the robot covered more than
-// the given threshold distance.
-func (tr *Trace) NonTrivialMoves(robot int, threshold float64) int {
-	count := 0
-	for _, m := range tr.moves {
-		if m.Robot == robot && m.Dist() > threshold {
-			count++
-		}
-	}
-	return count
+	return tr.dist[robot]
 }
 
 // MinPairwiseDistance returns the smallest distance between any two

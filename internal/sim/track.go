@@ -173,65 +173,3 @@ func (t *Tracker) Radius(i int) float64 { return t.radii[i] }
 
 // Len returns the number of tracked homes.
 func (t *Tracker) Len() int { return len(t.homes) }
-
-// ChangeCounter counts, per observed robot, how many position changes
-// the observer has witnessed since the last Reset. It implements the
-// paper's "r observes that the position of r' has changed twice"
-// predicate, which drives every implicit acknowledgement in §4.
-type ChangeCounter struct {
-	last   []geom.Point
-	seen   []bool
-	counts []int
-	tol    float64
-}
-
-// NewChangeCounter creates a counter for n robots with the given
-// movement-detection tolerance.
-func NewChangeCounter(n int, tol float64) *ChangeCounter {
-	return &ChangeCounter{
-		last:   make([]geom.Point, n),
-		seen:   make([]bool, n),
-		counts: make([]int, n),
-		tol:    tol,
-	}
-}
-
-// Observe feeds one observation of robot i at point p and returns its
-// updated change count.
-func (c *ChangeCounter) Observe(i int, p geom.Point) int {
-	if !c.seen[i] {
-		c.seen[i] = true
-		c.last[i] = p
-		return c.counts[i]
-	}
-	if p.Dist(c.last[i]) > c.tol {
-		c.counts[i]++
-		c.last[i] = p
-	}
-	return c.counts[i]
-}
-
-// Count returns the change count of robot i.
-func (c *ChangeCounter) Count(i int) int { return c.counts[i] }
-
-// Reset zeroes all counts and baselines (a new waiting phase begins).
-func (c *ChangeCounter) Reset() {
-	for i := range c.counts {
-		c.counts[i] = 0
-		c.seen[i] = false
-	}
-}
-
-// AllAtLeast reports whether every robot except skip has changed at
-// least k times.
-func (c *ChangeCounter) AllAtLeast(k, skip int) bool {
-	for i, n := range c.counts {
-		if i == skip {
-			continue
-		}
-		if n < k {
-			return false
-		}
-	}
-	return true
-}

@@ -56,9 +56,6 @@ type ChaosScenario struct {
 	Radio bool
 	// Budget bounds the run in instants.
 	Budget int
-	// FaultEnd is the first fault-free instant (Plan.End), the baseline
-	// for steps-to-recover.
-	FaultEnd int
 	// Plan is the fault schedule.
 	Plan waggle.FaultPlan
 	// Sends is the message timeline.
@@ -89,8 +86,9 @@ type ChaosResult struct {
 	Failovers    int `json:"failovers"`
 	Failbacks    int `json:"failbacks"`
 	ImplicitAcks int `json:"implicit_acks"`
-	// StepsToRecover is the fault-end-to-delivery time of the first
-	// post-fault probe message, or -1 when none was delivered.
+	// StepsToRecover is the time from the plan's end (FaultPlan.End) to
+	// the delivery of the first post-fault probe message, or -1 when
+	// none was delivered or the faults never end.
 	StepsToRecover int `json:"steps_to_recover"`
 	// TraceCSV is the full movement trace, when requested — the
 	// byte-identical-replay check of the determinism tests.
@@ -163,7 +161,6 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 			Plan: waggle.FaultPlan{Events: []waggle.FaultEvent{
 				{Kind: waggle.FaultCrash, Robot: 0, At: 70, Until: 240},
 			}},
-			FaultEnd: 240,
 			Sends: []ChaosSend{
 				{At: 2, From: 0, To: 1, Tag: 'A'},
 				{At: 50, From: 0, To: 2, Tag: 'B'},  // in flight at the crash: lost
@@ -177,7 +174,6 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 			Plan: waggle.FaultPlan{Events: []waggle.FaultEvent{
 				{Kind: waggle.FaultCrash, Robot: 1, At: 200, Until: 1_400},
 			}},
-			FaultEnd: 1_400,
 			Sends: []ChaosSend{
 				{At: 2, From: 0, To: 1, Tag: 'A'},
 				{At: 100, From: 0, To: 1, Tag: 'B'}, // stalls while the receiver is down
@@ -194,7 +190,6 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 			Plan: waggle.FaultPlan{Events: []waggle.FaultEvent{
 				{Kind: waggle.FaultDisplace, Robot: 1, At: 60, DX: displaced.X, DY: displaced.Y},
 			}},
-			FaultEnd: 61,
 			Sends: []ChaosSend{
 				{At: 2, From: 0, To: 1, Tag: 'A'},
 				{At: 30, From: 0, To: 1, Tag: 'B'}, // in flight at the displacement
@@ -207,7 +202,6 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 			Plan: waggle.FaultPlan{Events: []waggle.FaultEvent{
 				{Kind: waggle.FaultObserveNoise, Robot: -1, At: 60, Until: 120, Mag: 0.35 * minOf(rad6)},
 			}},
-			FaultEnd: 120,
 			Sends: []ChaosSend{
 				{At: 2, From: 0, To: 2, Tag: 'A'},
 				{At: 66, From: 0, To: 2, Tag: 'B'}, // transmitted through the noise
@@ -220,7 +214,6 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 			Plan: waggle.FaultPlan{Events: []waggle.FaultEvent{
 				{Kind: waggle.FaultDropSight, Robot: -1, At: 60, Until: 120, Mag: 0.5},
 			}},
-			FaultEnd: 120,
 			Sends: []ChaosSend{
 				{At: 2, From: 0, To: 2, Tag: 'A'},
 				{At: 66, From: 0, To: 2, Tag: 'B'},
@@ -236,7 +229,6 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 			Plan: waggle.FaultPlan{Events: []waggle.FaultEvent{
 				{Kind: waggle.FaultMoveError, Robot: 0, At: 60, Until: 120, Min: 0.05, Max: 1.2},
 			}},
-			FaultEnd: 120,
 			Sends: []ChaosSend{
 				{At: 2, From: 0, To: 2, Tag: 'A'},
 				{At: 66, From: 0, To: 2, Tag: 'B'},
@@ -253,7 +245,6 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 			Plan: waggle.FaultPlan{Events: []waggle.FaultEvent{
 				{Kind: waggle.FaultRadioOutage, Robot: 0, At: 40, Until: 400},
 			}},
-			FaultEnd: 400,
 			Sends: []ChaosSend{
 				{At: 2, From: 0, To: 1, Tag: 'A'},
 				{At: 50, From: 0, To: 2, Tag: 'B'},
@@ -267,7 +258,6 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 			Plan: waggle.FaultPlan{Events: []waggle.FaultEvent{
 				{Kind: waggle.FaultJamRamp, Robot: -1, At: 40, Until: 360, Min: 0, Max: 1},
 			}},
-			FaultEnd: 360,
 			Sends: []ChaosSend{
 				{At: 10, From: 0, To: 1, Tag: 'A'},
 				{At: 100, From: 0, To: 2, Tag: 'B'},
@@ -290,7 +280,6 @@ func ChaosScenarios(seed int64) []ChaosScenario {
 				{Kind: waggle.FaultDisplace, Robot: 1, At: 70, DX: displaced.X, DY: displaced.Y},
 				{Kind: waggle.FaultMoveError, Robot: -1, At: 80, Until: 160, Min: 0.5, Max: 1.2},
 			}},
-			FaultEnd: 240,
 			Sends: []ChaosSend{
 				{At: 2, From: 0, To: 1, Tag: 'A'},
 				{At: 90, From: 0, To: 2, Tag: 'B'},
@@ -509,6 +498,7 @@ func (r *chaosRun) result() (*ChaosResult, error) {
 		Scenario: r.sc.Name, Family: r.sc.Family, Protocol: proto,
 		Sent: len(r.msgs), StepsToRecover: -1,
 	}
+	faultEnd := r.sc.Plan.End()
 	var latency float64
 	for k := range r.msgs {
 		m := &r.msgs[k]
@@ -517,8 +507,8 @@ func (r *chaosRun) result() (*ChaosResult, error) {
 		}
 		res.Delivered++
 		latency += float64(m.deliveredAt - m.sentAt)
-		if m.send.Post {
-			rec := m.deliveredAt - r.sc.FaultEnd
+		if m.send.Post && faultEnd >= 0 {
+			rec := m.deliveredAt - faultEnd
 			if res.StepsToRecover < 0 || rec < res.StepsToRecover {
 				res.StepsToRecover = rec
 			}

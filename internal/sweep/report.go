@@ -122,11 +122,8 @@ func engineName(engine waggle.EngineMode) string {
 	}
 }
 
-// EngineModeName is the stable report-schema name of an engine mode.
-func EngineModeName(engine waggle.EngineMode) string { return engineName(engine) }
-
 // ParseEngineMode parses the report-schema engine name ("" = auto) —
-// the shared inverse of EngineModeName for CLIs and the queen wire
+// the shared inverse of engineName for CLIs and the queen wire
 // protocol.
 func ParseEngineMode(name string) (waggle.EngineMode, error) {
 	switch name {

@@ -198,10 +198,13 @@ func TestStreamResumeAppend(t *testing.T) {
 	if err := s.Stream().Close(); err != nil {
 		t.Fatalf("close stream: %v", err)
 	}
-	resumed, err := NewSwarm(ckptTestPositions(),
-		append(ckptTestOptions(EngineAuto), WithRestore(ck), WithStream(path))...)
+	res, err := Restore(ck)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
+	}
+	resumed := res.Swarm
+	if _, err := resumed.NewStreamWriter(path); err != nil {
+		t.Fatalf("reopen stream: %v", err)
 	}
 	ckptPhase2(t, resumed)
 	live := liveTraceDigest(t, resumed)

@@ -151,7 +151,7 @@ func digestWorkout(t *testing.T, s *Swarm, seed int64, ops int) *Checkpoint {
 
 // TestTraceDigestMatchesOracle pins the incremental trace digest to an
 // independent full-render oracle across every protocol, both engines,
-// a fault plan, and swarms rebuilt by Restore and WithRestore.
+// a fault plan, and swarms rebuilt by Restore.
 func TestTraceDigestMatchesOracle(t *testing.T) {
 	engines := map[string]EngineMode{"sequential": EngineSequential, "parallel": EngineParallel}
 	for ename, engine := range engines {
@@ -173,12 +173,6 @@ func TestTraceDigestMatchesOracle(t *testing.T) {
 					t.Fatalf("Restore: %v", err)
 				}
 				digestWorkout(t, res.Swarm, int64(200+i), 15)
-
-				rebuilt, err := NewSwarm(tc.positions, append(tc.opts(), WithRestore(ck))...)
-				if err != nil {
-					t.Fatalf("WithRestore: %v", err)
-				}
-				digestWorkout(t, rebuilt, int64(300+i), 15)
 			})
 		}
 	}

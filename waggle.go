@@ -143,19 +143,11 @@ func NewSwarm(positions []Point, opts ...Option) (*Swarm, error) {
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
-	var s *Swarm
-	var err error
-	if o.restore != nil {
-		s, err = newSwarmRestored(positions, o)
-	} else {
-		s, err = newSwarm(positions, o)
-	}
+	s, err := newSwarm(positions, o)
 	if err != nil {
 		return nil, err
 	}
 	if o.streamPath != "" {
-		// Attached only after construction (and any restore replay)
-		// completes, so replayed history is never re-streamed.
 		if _, err := s.NewStreamWriter(o.streamPath); err != nil {
 			return nil, err
 		}
@@ -280,6 +272,11 @@ func (s *Swarm) record(in ckpt.Input) {
 	s.rec.Record(in)
 }
 
+// InputLogLen returns how many entries the swarm's replay log holds —
+// the inputs a Restore of its checkpoint replays. Consecutive steps
+// share one entry.
+func (s *Swarm) InputLogLen() int { return s.rec.Len() }
+
 // Send queues a message from robot `from` to robot `to`.
 func (s *Swarm) Send(from, to int, payload []byte) error {
 	err := s.net.Send(from, to, payload)
@@ -377,7 +374,8 @@ func (s *Swarm) Positions() []Point {
 }
 
 // TotalDistance returns the total distance robot i has covered, when the
-// swarm was built WithTrace; it returns 0 otherwise.
+// swarm was built WithTrace; it returns 0 otherwise, and for an i
+// outside the swarm.
 func (s *Swarm) TotalDistance(i int) float64 {
 	tr := s.net.World().Trace()
 	if tr == nil {

@@ -229,6 +229,11 @@ func TestSwarmTraceMetrics(t *testing.T) {
 	if s.TotalDistance(2) != 0 {
 		t.Error("idle robot moved in a silent synchronous protocol")
 	}
+	for _, i := range []int{-1, s.N()} {
+		if d := s.TotalDistance(i); d != 0 {
+			t.Errorf("TotalDistance(%d) outside the swarm = %v, want 0", i, d)
+		}
+	}
 	if s.MinPairwiseDistance() <= 0 {
 		t.Error("robots collided")
 	}
