@@ -151,7 +151,8 @@ perfbench-check:
 # (wire/log.go), the stream tail spectate feeds client offsets into,
 # the one checkpoint loader entry (v1 and v2), the Retry-After parser
 # clients feed server headers into, the queen journal's event bodies,
-# and serve's create-request → swarm-options mapping.
+# serve's create-request → swarm-options mapping, and the §4.2 decoder's
+# trig-free sector classifier against its atan2 oracle.
 # `go test -fuzz` takes one target per call.
 fuzz-check:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/wire
@@ -161,6 +162,7 @@ fuzz-check:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 5s ./internal/retry
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 5s ./internal/queen
 	$(GO) test -run '^$$' -fuzz '^FuzzCreateSession$$' -fuzztime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzClassifyFastPath$$' -fuzztime 5s ./internal/protocol
 
 # Known-vulnerability scan, skipped gracefully when govulncheck is not
 # installed or its database is unreachable (offline CI).

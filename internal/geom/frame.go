@@ -83,13 +83,31 @@ func (f Frame) scaleOr1() float64 {
 	return f.Scale
 }
 
-// ToLocal maps a world point into the frame's coordinates.
-func (f Frame) ToLocal(world Point) Point {
-	d := world.Sub(f.Origin)
-	ex, ey := f.axes()
-	inv := 1 / (f.scaleOr1() * f.scaleOr1())
-	return Point{X: d.Dot(ex) * inv, Y: d.Dot(ey) * inv}
+// LocalMap is a frame's world-to-local transform with its basis
+// evaluated once. A view maps every robot through the same frame, so
+// building the map once per view replaces one Sincos per point; the
+// arithmetic per point is the same as ToLocal's, so the results are
+// bit-identical.
+type LocalMap struct {
+	origin Point
+	ex, ey Vec
+	inv    float64
 }
+
+// Local returns the frame's world-to-local map.
+func (f Frame) Local() LocalMap {
+	ex, ey := f.axes()
+	return LocalMap{origin: f.Origin, ex: ex, ey: ey, inv: 1 / (f.scaleOr1() * f.scaleOr1())}
+}
+
+// Point maps a world point into the frame's coordinates.
+func (m LocalMap) Point(world Point) Point {
+	d := world.Sub(m.origin)
+	return Point{X: d.Dot(m.ex) * m.inv, Y: d.Dot(m.ey) * m.inv}
+}
+
+// ToLocal maps a world point into the frame's coordinates.
+func (f Frame) ToLocal(world Point) Point { return f.Local().Point(world) }
 
 // ToWorld maps a local point into world coordinates.
 func (f Frame) ToWorld(local Point) Point {

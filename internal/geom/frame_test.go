@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -150,5 +151,35 @@ func TestFramePropertyMirrorFlipsChirality(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLocalMapMatchesToLocal pins LocalMap.Point bit-for-bit to the
+// per-point expression ToLocal evaluated before the basis was hoisted
+// out of it: Sincos, basis, inverse squared scale, two dot products.
+func TestLocalMapMatchesToLocal(t *testing.T) {
+	perPoint := func(f Frame, world Point) Point {
+		d := world.Sub(f.Origin)
+		ex, ey := f.axes()
+		inv := 1 / (f.scaleOr1() * f.scaleOr1())
+		return Point{X: d.Dot(ex) * inv, Y: d.Dot(ey) * inv}
+	}
+	rng := rand.New(rand.NewSource(16))
+	for _, hand := range []Handedness{RightHanded, LeftHanded} {
+		for trial := 0; trial < 200; trial++ {
+			f := NewFrame(Pt(rng.NormFloat64()*1e3, rng.NormFloat64()*1e3),
+				(rng.Float64()-0.5)*20, math.Exp(rng.NormFloat64()*3), hand)
+			m := f.Local()
+			for k := 0; k < 50; k++ {
+				p := Pt(rng.NormFloat64()*1e4, rng.NormFloat64()*1e4)
+				got, want := m.Point(p), perPoint(f, p)
+				if math.Float64bits(got.X) != math.Float64bits(want.X) || math.Float64bits(got.Y) != math.Float64bits(want.Y) {
+					t.Fatalf("%v frame %+v: LocalMap.Point(%v) = %v, want %v", hand, f, p, got, want)
+				}
+				if got2 := f.ToLocal(p); got2 != got {
+					t.Fatalf("ToLocal(%v) = %v, LocalMap.Point = %v", p, got2, got)
+				}
+			}
+		}
 	}
 }

@@ -93,6 +93,52 @@ func (v Vec) Len() float64 { return math.Hypot(v.X, v.Y) }
 // Len2 returns the squared length of v.
 func (v Vec) Len2() float64 { return v.X*v.X + v.Y*v.Y }
 
+// lenGuard is the relative band around tol² inside which LenAtMost and
+// LenExceeds call Hypot. The squared length carries at most 3 ulps of
+// relative error and Hypot about 4, so outside a band of 1e-12 (some
+// 4,000 ulps) comparing squares decides exactly as comparing Hypot does.
+const lenGuard = 1e-12
+
+// lenSide compares v's length with tol through squares: -1 when it is
+// provably below tol, +1 when provably above, 0 when only Hypot can
+// tell. That is inside the guard band, for a NaN component, and when
+// tol² is zero, subnormal or not finite (a subnormal or overflowed
+// square has lost the relative precision the band assumes; squares of
+// v's components that underflow err by at most 1e-323 absolute, far
+// inside the band of a normal tol²).
+func (v Vec) lenSide(tol float64) int {
+	t2 := tol * tol
+	if !(tol > 0 && t2 >= 0x1p-1022 && t2 <= math.MaxFloat64) {
+		return 0
+	}
+	switch l2 := v.X*v.X + v.Y*v.Y; {
+	case l2 < t2*(1-lenGuard):
+		return -1
+	case l2 > t2*(1+lenGuard):
+		return 1
+	}
+	return 0
+}
+
+// LenAtMost reports v.Len() <= tol, computing the square root only
+// when the squared lengths are too close to decide.
+func (v Vec) LenAtMost(tol float64) bool {
+	if s := v.lenSide(tol); s != 0 {
+		return s < 0
+	}
+	return v.Len() <= tol
+}
+
+// LenExceeds reports v.Len() > tol, computing the square root only when
+// the squared lengths are too close to decide. It is not !LenAtMost: a
+// NaN length satisfies neither.
+func (v Vec) LenExceeds(tol float64) bool {
+	if s := v.lenSide(tol); s != 0 {
+		return s > 0
+	}
+	return v.Len() > tol
+}
+
 // Unit returns v normalised to length one. The zero vector is returned
 // unchanged.
 func (v Vec) Unit() Vec {
@@ -158,7 +204,12 @@ func Centroid(pts []Point) Point {
 
 // NormalizeAngle maps theta into [0, 2*pi).
 func NormalizeAngle(theta float64) float64 {
-	t := math.Mod(theta, 2*math.Pi)
+	// math.Mod returns theta itself when |theta| < 2π, the common case
+	// of a difference of two atan2 results, so skip it there.
+	t := theta
+	if !(theta > -2*math.Pi && theta < 2*math.Pi) {
+		t = math.Mod(theta, 2*math.Pi)
+	}
 	if t < 0 {
 		t += 2 * math.Pi
 	}

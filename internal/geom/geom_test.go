@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -240,5 +241,74 @@ func TestFrameWithOrigin(t *testing.T) {
 	f := NewFrame(Pt(1, 1), 0, 2, RightHanded).WithOrigin(Pt(9, 9))
 	if !f.Origin.Eq(Pt(9, 9)) || f.Scale != 2 {
 		t.Errorf("WithOrigin = %+v", f)
+	}
+}
+
+// TestNormalizeAngleMatchesMod pins NormalizeAngle's skip of math.Mod
+// for |theta| < 2π to the unconditional Mod it replaces, bit for bit,
+// signed zeros and the ±2π edges included.
+func TestNormalizeAngleMatchesMod(t *testing.T) {
+	viaMod := func(theta float64) float64 {
+		r := math.Mod(theta, 2*math.Pi)
+		if r < 0 {
+			r += 2 * math.Pi
+		}
+		return r
+	}
+	inputs := []float64{0, math.Copysign(0, -1), 2 * math.Pi, -2 * math.Pi,
+		math.Nextafter(2*math.Pi, 0), math.Nextafter(-2*math.Pi, 0), math.Nextafter(2*math.Pi, 10),
+		math.Pi, -math.Pi, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -7.5,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 10000; i++ {
+		inputs = append(inputs, (rng.Float64()-0.5)*8*math.Pi, rng.NormFloat64()*1e-9)
+	}
+	for _, x := range inputs {
+		if got, want := NormalizeAngle(x), viaMod(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("NormalizeAngle(%v) = %v, Mod gives %v", x, got, want)
+		}
+	}
+}
+
+// TestLenGuardMatchesHypot compares LenAtMost and LenExceeds with the
+// Hypot comparisons they replace, on lengths placed at and around tol
+// and on the inputs where squares lose precision: NaN, ±Inf, zero,
+// subnormal and overflowing tolerances and components.
+func TestLenGuardMatchesHypot(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	tols := []float64{1, 1e-9, 3.7e-7, 1e-154, 1e-160, 1e154, 1e160, 0, math.Copysign(0, -1), -1,
+		5e-324, 1e-310, math.MaxFloat64, inf, -inf, nan}
+	vecs := []Vec{{}, V(math.Copysign(0, -1), 0), V(nan, 0), V(0, nan), V(inf, 0), V(-inf, nan),
+		V(inf, -inf), V(5e-324, 5e-324), V(1e-200, 0), V(1e200, 1e200), V(math.MaxFloat64, 1)}
+	rng := rand.New(rand.NewSource(16))
+	for _, tol := range tols {
+		vs := append([]Vec(nil), vecs...)
+		if tol > 0 && !math.IsInf(tol, 0) {
+			for i := 0; i < 2000; i++ {
+				// Lengths from far inside to far outside tol, dense at
+				// relative offsets of a few ulps.
+				rel := math.Copysign(math.Pow(10, -16+14*rng.Float64()), rng.Float64()-0.5)
+				if i%10 == 0 {
+					rel = float64(i%7-3) * 1.1e-16
+				}
+				dir := V(1, 0).Rotate(rng.Float64() * 2 * math.Pi)
+				vs = append(vs, dir.Scale(tol*(1+rel)))
+			}
+		}
+		for _, v := range vs {
+			l := v.Len()
+			if got, want := v.LenAtMost(tol), l <= tol; got != want {
+				t.Fatalf("%v.LenAtMost(%v) = %v, Hypot %v <= tol is %v", v, tol, got, l, want)
+			}
+			if got, want := v.LenExceeds(tol), l > tol; got != want {
+				t.Fatalf("%v.LenExceeds(%v) = %v, Hypot %v > tol is %v", v, tol, got, l, want)
+			}
+		}
+	}
+	// Away from the band the squares decide, without Hypot.
+	for _, tol := range []float64{1, 1e-9, 3.7e-7, 1e150} {
+		if V(0, tol*(1-1e-9)).lenSide(tol) != -1 || V(tol*(1+1e-9), 0).lenSide(tol) != 1 {
+			t.Fatalf("tol %v: squared comparison deferred outside the guard band", tol)
+		}
 	}
 }

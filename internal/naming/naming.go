@@ -20,6 +20,7 @@ package naming
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"waggle/internal/geom"
@@ -70,47 +71,95 @@ func LexLabels(pts []geom.Point) []int {
 //
 // The enclosing circle must be the SEC of pts (callers typically obtain
 // it from package sec); it is passed in so a robot can compute the
-// naming for every observer from a single SEC computation.
+// naming for every observer from a single SEC computation. A caller
+// naming several observers of one configuration should build one
+// SECNaming instead.
 func SECLabels(pts []geom.Point, observer int, enclosing geom.Circle) ([]int, error) {
-	if observer < 0 || observer >= len(pts) {
+	return NewSECNaming(pts, enclosing).Labels(observer)
+}
+
+// SECNaming computes the relative namings of one configuration for any
+// observer. Each point's polar angle and distance about the SEC centre
+// are computed once, so naming every observer costs one sort per
+// observer instead of n atan2 and Hypot calls per observer. Labels
+// sorts in scratch owned by the SECNaming, so one SECNaming serves one
+// goroutine.
+type SECNaming struct {
+	angle []float64 // polar angle about the centre
+	rdist []float64 // distance from the centre
+	keys  []secKey  // sort scratch, reused across observers
+}
+
+type secKey struct {
+	idx   int
+	cw    float64 // clockwise angle from the horizon, in [0, 2*pi)
+	rdist float64 // distance from the centre along the radius
+}
+
+// NewSECNaming prepares the namings of pts, whose SEC is enclosing.
+func NewSECNaming(pts []geom.Point, enclosing geom.Circle) *SECNaming {
+	s := &SECNaming{
+		angle: make([]float64, len(pts)),
+		rdist: make([]float64, len(pts)),
+		keys:  make([]secKey, len(pts)),
+	}
+	for i, p := range pts {
+		v := p.Sub(enclosing.Center)
+		s.rdist[i] = v.Len()
+		s.angle[i] = v.Angle()
+	}
+	return s
+}
+
+// atCenter reports whether point i sits at the SEC centre, the
+// Vec.IsZero test on its offset from the centre.
+func (s *SECNaming) atCenter(i int) bool { return s.rdist[i] <= geom.Eps }
+
+// Labels returns the relative naming with respect to observer, exactly
+// as SECLabels defines it.
+func (s *SECNaming) Labels(observer int) ([]int, error) {
+	if observer < 0 || observer >= len(s.rdist) {
 		return nil, ErrObserverOutOfRange
 	}
-	center := enclosing.Center
-	horizon := pts[observer].Sub(center)
-	if horizon.IsZero() {
+	if s.atCenter(observer) {
 		return nil, ErrObserverAtCenter
 	}
-	horizonAngle := horizon.Angle()
-
-	type keyed struct {
-		idx   int
-		cw    float64 // clockwise angle from the horizon, in [0, 2*pi)
-		rdist float64 // distance from the centre along the radius
-	}
-	ks := make([]keyed, len(pts))
-	for i, p := range pts {
-		v := p.Sub(center)
+	horizonAngle := s.angle[observer]
+	ks := s.keys
+	for i := range ks {
 		var cw float64
-		if v.IsZero() {
-			// A robot exactly at the centre belongs to every radius; put it
-			// first on the horizon radius (distance 0 sorts it before all).
-			cw = 0
-		} else {
+		if !s.atCenter(i) {
 			// Clockwise sweep: decreasing mathematical angle.
-			cw = geom.NormalizeAngle(horizonAngle - v.Angle())
+			cw = geom.NormalizeAngle(horizonAngle - s.angle[i])
 			if 2*math.Pi-cw < angleEps {
 				cw = 0
 			}
 		}
-		ks[i] = keyed{idx: i, cw: cw, rdist: v.Len()}
+		// A robot exactly at the centre belongs to every radius: cw 0
+		// puts it first on the horizon radius (distance 0 sorts it
+		// before all).
+		ks[i] = secKey{idx: i, cw: cw, rdist: s.rdist[i]}
 	}
-	sort.SliceStable(ks, func(a, b int) bool {
-		if math.Abs(ks[a].cw-ks[b].cw) > angleEps {
-			return ks[a].cw < ks[b].cw
+	// SortStableFunc runs the same insertion-sort and symMerge sequence
+	// as sort.SliceStable, and the comparator is negative exactly where
+	// the pairwise "less" is true, so even this non-transitive
+	// angleEps order comes out as it always has.
+	slices.SortStableFunc(ks, func(a, b secKey) int {
+		if math.Abs(a.cw-b.cw) > angleEps {
+			if a.cw < b.cw {
+				return -1
+			}
+			return 1
 		}
-		return ks[a].rdist < ks[b].rdist
+		if a.rdist < b.rdist {
+			return -1
+		}
+		if a.rdist > b.rdist {
+			return 1
+		}
+		return 0
 	})
-	labels := make([]int, len(pts))
+	labels := make([]int, len(ks))
 	for rank, k := range ks {
 		labels[k.idx] = rank
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"waggle/internal/geom"
@@ -251,5 +253,103 @@ func TestViewsIndistinguishableNegative(t *testing.T) {
 	}
 	if !ViewsIndistinguishable(pts, 2, 2) {
 		t.Error("a robot is always indistinguishable from itself")
+	}
+}
+
+// secLabelsOracle is SECLabels as computed before SECNaming: every
+// angle and radius recomputed per observer, sorted by sort.SliceStable.
+// SECNaming must reproduce it exactly, ties under the non-transitive
+// angleEps comparison included.
+func secLabelsOracle(pts []geom.Point, observer int, enclosing geom.Circle) ([]int, error) {
+	if observer < 0 || observer >= len(pts) {
+		return nil, ErrObserverOutOfRange
+	}
+	center := enclosing.Center
+	horizon := pts[observer].Sub(center)
+	if horizon.IsZero() {
+		return nil, ErrObserverAtCenter
+	}
+	horizonAngle := horizon.Angle()
+	type keyed struct {
+		idx       int
+		cw, rdist float64
+	}
+	ks := make([]keyed, len(pts))
+	for i, p := range pts {
+		v := p.Sub(center)
+		var cw float64
+		if !v.IsZero() {
+			cw = geom.NormalizeAngle(horizonAngle - v.Angle())
+			if 2*math.Pi-cw < angleEps {
+				cw = 0
+			}
+		}
+		ks[i] = keyed{idx: i, cw: cw, rdist: v.Len()}
+	}
+	sort.SliceStable(ks, func(a, b int) bool {
+		if math.Abs(ks[a].cw-ks[b].cw) > angleEps {
+			return ks[a].cw < ks[b].cw
+		}
+		return ks[a].rdist < ks[b].rdist
+	})
+	labels := make([]int, len(pts))
+	for rank, k := range ks {
+		labels[k.idx] = rank
+	}
+	return labels, nil
+}
+
+// TestSECNamingMatchesOracle compares SECNaming.Labels, for every
+// observer, with the per-observer oracle on random configurations,
+// clusters of robots within angleEps of one radius, several robots on
+// one radius, and a robot at the SEC centre.
+func TestSECNamingMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	polar := func(r, theta float64) geom.Point { return geom.Pt(r*math.Cos(theta), r*math.Sin(theta)) }
+	var configs [][]geom.Point
+	for _, n := range []int{1, 2, 3, 5, 20, 21, 40, 41, 64, 100} {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
+		}
+		configs = append(configs, pts)
+	}
+	// Three rim robots fix the SEC (radius 10 about the origin); the
+	// rest sit inside it on nearly shared radii.
+	rim := []geom.Point{polar(10, 0.1), polar(10, 0.1+2*math.Pi/3), polar(10, 0.1+4*math.Pi/3)}
+	for _, spacing := range []float64{0, 1e-10, 4e-10, 9e-10, 1.1e-9, 3e-9} {
+		pts := append([]geom.Point(nil), rim...)
+		for k := 0; k < 45; k++ {
+			// Clusters of 15 around three radii, interleaved so that
+			// near-ties straddle the stable sort's 20-element blocks.
+			base := []float64{1.3, 1.3 + 1e-9, -2}[k%3]
+			pts = append(pts, polar(1+rng.Float64()*8, base+float64(k/3)*spacing))
+		}
+		configs = append(configs, pts)
+	}
+	onRadius := append([]geom.Point(nil), rim...)
+	for r := 1.0; r <= 8; r++ {
+		onRadius = append(onRadius, polar(r, 0.1), polar(9-r, 2.5))
+	}
+	configs = append(configs, onRadius)
+	configs = append(configs, []geom.Point{geom.Pt(-1, 0), geom.Pt(1, 0), geom.Pt(0, 1), geom.Pt(0, -1), geom.Pt(0, 0)})
+
+	centred := false
+	for ci, pts := range configs {
+		c := secOf(t, pts)
+		names := NewSECNaming(pts, c)
+		for obs := -1; obs <= len(pts); obs++ {
+			got, gotErr := names.Labels(obs)
+			want, wantErr := secLabelsOracle(pts, obs, c)
+			if !errors.Is(gotErr, wantErr) || !slices.Equal(got, want) {
+				t.Fatalf("config %d observer %d: Labels = %v, %v; oracle %v, %v", ci, obs, got, gotErr, want, wantErr)
+			}
+			if errors.Is(wantErr, ErrObserverAtCenter) {
+				centred = true
+			}
+		}
+	}
+	if !centred {
+		t.Fatal("no configuration put a robot at the SEC centre")
 	}
 }

@@ -249,7 +249,7 @@ func (r *asyncNRobot) observeAll(view sim.View) {
 		}
 		cur := r.rk.toInit(p)
 		tol := 1e-9 * r.geo.radii[j]
-		if cur.Dist(r.lastPos[j]) > tol {
+		if cur.Sub(r.lastPos[j]).LenExceeds(tol) {
 			r.counts[j]++
 			r.lastPos[j] = cur
 		}
@@ -423,7 +423,7 @@ func (r *asyncNRobot) decodeAll(view sim.View) {
 // classify maps robot j's observed position to a decoder state.
 func (r *asyncNRobot) classify(j int, cur geom.Point) asyncNState {
 	d := r.rk.toInit(cur).Sub(r.geo.p0[j])
-	if d.Len() <= centerTolFrac*r.geo.radii[j] {
+	if d.LenAtMost(centerTolFrac * r.geo.radii[j]) {
 		return asyncNState{kind: stateCenter}
 	}
 	// §5: a resolution-limited sensor only distinguishes so many

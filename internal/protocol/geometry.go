@@ -34,11 +34,13 @@ type swarmGeometry struct {
 
 	// slicers[j] classifies robot j's movements.
 	slicers []slicer
-	// labelOf[j][h] is the label robot j uses for the robot with home
-	// index h; homeOf[j][l] inverts it. nil for a sender with no horizon
-	// under SEC naming.
-	labelOf [][]int
-	homeOf  [][]int
+	// labels[h] is the label this robot uses for the robot with home
+	// index h. homeOf[j][l] is the home index of the robot sender j
+	// labels l: nil for a sender with no horizon under SEC naming. A
+	// decoder only ever inverts other senders' namings, so only the
+	// inverse is kept for them.
+	labels []int
+	homeOf [][]int
 
 	err error
 }
@@ -66,7 +68,6 @@ func buildSwarmGeometry(view sim.View, scheme Naming, extraKappa bool, diameters
 		}
 	}
 	g.slicers = make([]slicer, n)
-	g.labelOf = make([][]int, n)
 	g.homeOf = make([][]int, n)
 
 	switch scheme {
@@ -88,6 +89,7 @@ func buildSwarmGeometry(view sim.View, scheme Naming, extraKappa bool, diameters
 			g.err = fmt.Errorf("protocol: smallest enclosing circle: %w", err)
 			return g
 		}
+		names := naming.NewSECNaming(g.p0, circle)
 		for j := 0; j < n; j++ {
 			horizon := g.p0[j].Sub(circle.Center)
 			if horizon.IsZero() {
@@ -99,14 +101,16 @@ func buildSwarmGeometry(view sim.View, scheme Naming, extraKappa bool, diameters
 				continue
 			}
 			g.slicers[j] = newSlicer(horizon, g.diameters)
-			labels, err := naming.SECLabels(g.p0, j, circle)
+			labels, err := names.Labels(j)
 			if err != nil {
 				if j == g.self {
 					g.err = fmt.Errorf("protocol: relative naming: %w", err)
 				}
 				continue
 			}
-			g.labelOf[j] = labels
+			if j == g.self {
+				g.labels = labels
+			}
 			g.homeOf[j] = invertLabels(labels)
 		}
 	default:
@@ -118,9 +122,9 @@ func buildSwarmGeometry(view sim.View, scheme Naming, extraKappa bool, diameters
 // fillSharedNaming installs one labelling common to every sender
 // (observable IDs or the lexicographic order).
 func (g *swarmGeometry) fillSharedNaming(labels []int) {
+	g.labels = labels
 	inv := invertLabels(labels)
-	for j := range g.labelOf {
-		g.labelOf[j] = labels
+	for j := range g.homeOf {
 		g.homeOf[j] = inv
 	}
 }
@@ -136,7 +140,7 @@ func (g *swarmGeometry) fillNorthSlicers() {
 
 // canDecode reports whether movements of sender j are classifiable.
 func (g *swarmGeometry) canDecode(j int) bool {
-	return g.labelOf[j] != nil && !g.slicers[j].ref.IsZero()
+	return g.homeOf[j] != nil && !g.slicers[j].ref.IsZero()
 }
 
 // txLabel maps an outbound recipient (a home index, or ToAll) to the
@@ -145,9 +149,9 @@ func (g *swarmGeometry) canDecode(j int) bool {
 // diameter is free to mean "to everyone".
 func (g *swarmGeometry) txLabel(to int) int {
 	if to == ToAll {
-		return g.labelOf[g.self][g.self]
+		return g.labels[g.self]
 	}
-	return g.labelOf[g.self][to]
+	return g.labels[to]
 }
 
 // rxRecipient maps a decoded (sender, label) pair to the delivery

@@ -84,13 +84,16 @@ type sideOf int
 // sense-of-direction schemes, the SEC horizon direction for the SEC
 // scheme) and the diameter count.
 type slicer struct {
-	ref       geom.Vec // unit reference direction (diameter 0, positive end)
+	ref       geom.Vec  // unit reference direction (diameter 0, positive end)
+	refAngle  float64   // ref.Angle()
+	halves    angleGrid // steps of pi/diameters, between adjacent diameter ends
 	diameters int
 }
 
 // newSlicer builds a slicer; ref must be non-zero.
 func newSlicer(ref geom.Vec, diameters int) slicer {
-	return slicer{ref: ref.Unit(), diameters: diameters}
+	u := ref.Unit()
+	return slicer{ref: u, refAngle: u.Angle(), halves: newAngleGrid(math.Pi / float64(diameters)), diameters: diameters}
 }
 
 // direction returns the unit vector of the positive (side-0) end of
@@ -110,18 +113,91 @@ func (s slicer) direction(k int, side sideOf) geom.Vec {
 // classify maps an observed displacement to the nearest (diameter, side)
 // pair. The displacement must be non-zero.
 func (s slicer) classify(d geom.Vec) (k int, side sideOf) {
-	// Clockwise angle of d from the reference direction.
-	alpha := geom.NormalizeAngle(s.ref.Angle() - d.Angle())
-	halfStep := math.Pi / float64(s.diameters)
-	m := int(math.Round(alpha/halfStep)) % (2 * s.diameters)
-	if m < 0 {
-		m += 2 * s.diameters
+	// Rotated into the reference frame, d's clockwise angle from the
+	// reference is atan2(y, x).
+	x := s.ref.X*d.X + s.ref.Y*d.Y
+	y := s.ref.Y*d.X - s.ref.X*d.Y
+	r, ok := s.halves.round(y, x)
+	if !ok {
+		alpha := geom.NormalizeAngle(s.refAngle - d.Angle())
+		r = math.Round(alpha / s.halves.step)
 	}
-	k = m % s.diameters
+	m := int(r)
+	// m is within [-diameters, 2·diameters] but for degenerate input;
+	// the integer division is only needed outside that range.
+	if m < 0 || m >= 2*s.diameters {
+		m %= 2 * s.diameters
+		if m < 0 {
+			m += 2 * s.diameters
+		}
+	}
 	if m >= s.diameters {
-		side = 1
+		return m - s.diameters, 1
 	}
-	return k, side
+	return m, 0
+}
+
+// angleGuard is the margin, in radians, inside which angleGrid.round defers
+// to atan2. It covers atanUnit's error (below 2e-8) five times over;
+// every other rounding on either side (a rotation into a reference
+// frame, atan2 itself, a wrap by 2π, the division by the step) is below
+// 1e-14 rad.
+const angleGuard = 1e-7
+
+// angleGrid rounds polar angles to multiples of step.
+type angleGrid struct {
+	step, inv float64 // inv is 1/step
+}
+
+func newAngleGrid(step float64) angleGrid { return angleGrid{step: step, inv: 1 / step} }
+
+// round returns round(atan2(y, x)/step) without atan2: octant
+// reduction and a polynomial arctangent. It answers only where the
+// angle lies more than angleGuard from every rounding boundary, where
+// the exact expression provably rounds to the same integer. For
+// zero, tiny, huge or non-finite input, and near a boundary, ok is
+// false and the caller evaluates the exact expression.
+func (g angleGrid) round(y, x float64) (q float64, ok bool) {
+	ax, ay := math.Abs(x), math.Abs(y)
+	big := ax
+	if ay > big {
+		big = ay
+	}
+	if !(big > 1e-300 && big < 1e300) {
+		return 0, false
+	}
+	var a float64
+	if ay <= ax {
+		a = atanUnit(ay / ax)
+	} else {
+		a = math.Pi/2 - atanUnit(ax/ay)
+	}
+	if x < 0 {
+		a = math.Pi - a
+	}
+	if math.Signbit(y) {
+		a = -a
+	}
+	// Any nearby integer will do for q: the test below accepts it only
+	// if it is the nearest by more than the guard.
+	q = math.Floor(a*g.inv + 0.5)
+	if math.Abs(a-q*g.step) >= 0.5*g.step-angleGuard {
+		return 0, false
+	}
+	return q, true
+}
+
+// atanUnit approximates atan(z) for z in [0, 1] with an odd polynomial
+// of degree 17 (Abramowitz & Stegun 4.4.49), absolute error at most
+// 2e-8. Estrin's scheme evaluates it in a shorter dependency chain than
+// Horner's rule.
+func atanUnit(z float64) float64 {
+	t := z * z
+	t2 := t * t
+	t4 := t2 * t2
+	lo := (1 - 0.3333314528*t) + t2*(0.1999355085-0.1420889944*t)
+	hi := (0.1065626393 - 0.0752896400*t) + t2*(0.0429096138-0.0161657367*t)
+	return z * (lo + t4*(hi+t4*0.0028662257))
 }
 
 // granularRadii returns, per point, half the distance to its nearest

@@ -238,7 +238,7 @@ func (r *syncNRobot) decodeAll(view sim.View) {
 			continue
 		}
 		d := view.Points[j].Sub(r.rk.toCurrent(r.geo.p0[j]))
-		if d.Len() <= eventTolFrac*r.geo.radii[j] {
+		if d.LenAtMost(eventTolFrac * r.geo.radii[j]) {
 			continue
 		}
 		k, side := r.geo.slicers[j].classify(d)

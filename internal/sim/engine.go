@@ -264,7 +264,7 @@ func (w *World) safeComputeMoveFrom(i int, cand []int32) (dest geom.Point, err e
 	r := w.visRadii[i]
 	idx := sc.cidx[:0]
 	for _, j := range cand {
-		if self.Dist(snapshot[j]) <= r {
+		if self.Sub(snapshot[j]).LenAtMost(r) {
 			idx = append(idx, int(j))
 		}
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"waggle/internal/geom"
@@ -29,8 +30,10 @@ func injectWorld(t *testing.T, n int) *World {
 }
 
 // scriptInjector records the hook call order and applies scripted
-// transformations.
+// transformations. PerturbView runs concurrently under the parallel
+// engine, so mu guards what it records.
 type scriptInjector struct {
+	mu         sync.Mutex
 	log        []string
 	filter     func(t int, active []int) []int
 	viewShift  geom.Vec
@@ -50,8 +53,10 @@ func (s *scriptInjector) FilterActive(t int, active []int) []int {
 }
 
 func (s *scriptInjector) PerturbView(t, observer int, frame geom.Frame, view View) View {
+	s.mu.Lock()
 	s.log = append(s.log, "view")
 	s.sawPerturb = true
+	s.mu.Unlock()
 	for j := range view.Points {
 		if j != view.Self {
 			view.Points[j] = view.Points[j].Add(s.viewShift)

@@ -578,7 +578,7 @@ func (w *World) localView(i int, snapshot []geom.Point) View {
 	if w.compact && w.visRadii[i] > 0 {
 		return w.compactView(i, snapshot)
 	}
-	frame := w.frames[i]
+	local := w.frames[i].Local()
 	sc := w.scratchFor(i)
 	pts := sc.points
 	var visible []bool
@@ -602,7 +602,7 @@ func (w *World) localView(i int, snapshot []geom.Point) View {
 		// same Dist <= VisRadius comparison as the scan, on a candidate
 		// superset, so the resulting view is bit-identical.
 		self := snapshot[i]
-		selfLocal := frame.ToLocal(self)
+		selfLocal := local.Point(self)
 		for j := range pts {
 			pts[j] = selfLocal
 		}
@@ -610,7 +610,7 @@ func (w *World) localView(i int, snapshot []geom.Point) View {
 		w.viewIndex.VisitNeighborhood(self, r, func(j int, d float64) {
 			if d <= r {
 				visible[j] = true
-				pts[j] = frame.ToLocal(snapshot[j])
+				pts[j] = local.Point(snapshot[j])
 			}
 		})
 		var ids []int
@@ -622,16 +622,16 @@ func (w *World) localView(i int, snapshot []geom.Point) View {
 	}
 	for j, p := range snapshot {
 		if visible != nil {
-			if snapshot[i].Dist(p) <= w.visRadii[i] {
+			if snapshot[i].Sub(p).LenAtMost(w.visRadii[i]) {
 				visible[j] = true
 			} else {
 				// Out of sensor range: the observer perceives nothing
 				// at all for this robot.
-				pts[j] = frame.ToLocal(snapshot[i])
+				pts[j] = local.Point(snapshot[i])
 				continue
 			}
 		}
-		pts[j] = frame.ToLocal(p)
+		pts[j] = local.Point(p)
 	}
 	var ids []int
 	if w.ids != nil {
@@ -654,7 +654,7 @@ func (w *World) compactView(i int, snapshot []geom.Point) View {
 	r := w.visRadii[i]
 	idx := sc.cidx[:0]
 	for j := range snapshot {
-		if self.Dist(snapshot[j]) <= r {
+		if self.Sub(snapshot[j]).LenAtMost(r) {
 			idx = append(idx, j)
 		}
 	}
@@ -666,7 +666,7 @@ func (w *World) compactView(i int, snapshot []geom.Point) View {
 // index set, reusing robot i's compact scratch buffers.
 func (w *World) finishCompact(i int, idx []int, snapshot []geom.Point) View {
 	sc := &w.scratch[i]
-	frame := w.frames[i]
+	local := w.frames[i].Local()
 	pts := sc.cpts[:0]
 	var ids []int
 	if w.ids != nil {
@@ -677,7 +677,7 @@ func (w *World) finishCompact(i int, idx []int, snapshot []geom.Point) View {
 		if j == i {
 			selfSlot = k
 		}
-		pts = append(pts, frame.ToLocal(snapshot[j]))
+		pts = append(pts, local.Point(snapshot[j]))
 		if w.ids != nil {
 			ids = append(ids, w.ids[j])
 		}
